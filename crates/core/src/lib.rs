@@ -47,6 +47,8 @@ pub mod checkpoint;
 pub mod dist;
 pub mod extract;
 pub mod flight;
+#[cfg(test)]
+mod golden_tests;
 pub mod health;
 pub mod json;
 pub mod model;

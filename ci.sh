@@ -40,7 +40,8 @@ NEUSPIN_RESULTS=target/ci-results \
 
 # Throughput baseline smoke: kernel + MC engine micro-run (bit-identity
 # across engines — including the packed XNOR/popcount path and the
-# planned/legacy/parallel MC engines — is asserted inside the binary),
+# reference-kernel/sequential/parallel MC engines — is asserted inside
+# the binary),
 # then the schema gate. --check also enforces the packed-kernel floor
 # (every engaged kernel row must show packed ≥ 2× the row-major scalar
 # kernel, with at least one engaged row) and the allocation discipline:

@@ -33,7 +33,9 @@ fn main() {
     let x = batch();
     hw.calibrate(&x, 1, &mut rng);
     h.bench("inference/hardware_forward_batch8", |b| {
-        b.iter(|| black_box(hw.forward(&x, true, &mut rng)))
+        b.iter(|| {
+            black_box(hw.forward_planned(&x, true, &mut rng));
+        })
     });
 
     let mut rng = StdRng::seed_from_u64(3);

@@ -30,7 +30,9 @@ fn main() {
         let mut hw = HardwareModel::compile(&mut model, method, &arch, &config, &mut rng);
         hw.calibrate(&x, 1, &mut rng);
         h.bench(&format!("methods/hw_pass/{method}"), |b| {
-            b.iter(|| black_box(hw.forward(&x, true, &mut rng)))
+            b.iter(|| {
+                black_box(hw.forward_planned(&x, true, &mut rng));
+            })
         });
     }
 

@@ -185,7 +185,6 @@ fn kernel_disabled_ns(fast: bool) -> f64 {
     let input: Vec<f32> = (0..rows).map(|i| ((i * 5) % 9) as f32 / 4.0 - 1.0).collect();
 
     let (reps, calls) = if fast { (6, 100) } else { (10, 400) };
-    xbar.set_reference_kernel(false);
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for _ in 0..8 {
         black_box(xbar.matvec(&input, &mut rng)); // cache warmup, untimed

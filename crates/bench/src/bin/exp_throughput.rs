@@ -16,10 +16,9 @@
 //! 2. **MC engine** — end-to-end Bayesian prediction on the compiled
 //!    SpinDrop CNN after fault management + calibration, across
 //!    engines: `seq_reference` (seed kernel, sequential), `seq` (the
-//!    planned zero-allocation `predict_seeded`), `seq_legacy` (the
-//!    retained pre-plan `predict_seeded_unplanned`, the allocation
-//!    "before" picture), and `par` (deterministic parallel
-//!    `predict_par`) at 1/2/4 threads and two batch sizes. All engines
+//!    planned zero-allocation `predict_seeded`), and `par`
+//!    (deterministic parallel `predict_par`) at 1/2/4 threads and two
+//!    batch sizes. All engines
 //!    are bit-identical by construction; the binary asserts it on
 //!    every cell.
 //! 3. **Allocation discipline** — the counting global allocator
@@ -339,7 +338,6 @@ fn check_results() -> ExitCode {
     }
     let fast_mode = finite_num(&value, "fast_mode").unwrap_or(1.0) == 1.0;
     let mut par_threads = Vec::new();
-    let mut legacy_rows = 0usize;
     let mut gated_seq_rows = 0usize;
     for (i, row) in mc.iter().enumerate() {
         let Some(engine) = row.get("engine").and_then(json::Json::as_str) else {
@@ -364,9 +362,6 @@ fn check_results() -> ExitCode {
         if speedup <= 0.0 {
             eprintln!("check failed: mc row {i}: non-positive speedup {speedup}");
             return ExitCode::FAILURE;
-        }
-        if engine == "seq_legacy" {
-            legacy_rows += 1;
         }
         // The end-to-end regression gate: every full-mode `seq` row
         // with a recorded baseline must clear the floor. Fast-mode runs
@@ -395,10 +390,6 @@ fn check_results() -> ExitCode {
         eprintln!(
             "check failed: need par rows for >= 2 thread counts, got {par_threads:?}"
         );
-        return ExitCode::FAILURE;
-    }
-    if legacy_rows == 0 {
-        eprintln!("check failed: no seq_legacy (pre-plan engine) row");
         return ExitCode::FAILURE;
     }
     if !fast_mode && gated_seq_rows == 0 {
@@ -693,12 +684,12 @@ fn main() -> ExitCode {
     for &batch in &batches {
         let inputs = dataset(batch, &setup.style, &mut setup.rng(0x7460 + batch as u64)).inputs;
 
-        hw.use_reference_kernel(true);
+        hw.set_kernel_policy(KernelPolicy::Reference);
         let expect = hw.predict_seeded(&inputs, PREDICT_SEED);
         let ref_ns = time_ns_per_call(reps, 1, || {
             black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
         });
-        hw.use_reference_kernel(false);
+        hw.set_kernel_policy(KernelPolicy::Auto);
 
         // The recorded pre-optimization baseline only applies to the
         // full-mode `seq` engine at the batch sizes it was captured at.
@@ -747,15 +738,6 @@ fn main() -> ExitCode {
             black_box(hw.predict_seeded(&inputs, PREDICT_SEED));
         });
         push("seq", 1, seq_ns, &mut mc);
-
-        // The retained pre-plan engine: same kernels, per-pass heap
-        // traffic. Its gap to `seq` is what the forward plan buys.
-        let got = hw.predict_seeded_unplanned(&inputs, PREDICT_SEED);
-        assert_eq!(got, expect, "legacy engine diverged from planned (batch {batch})");
-        let legacy_ns = time_ns_per_call(reps, 1, || {
-            black_box(hw.predict_seeded_unplanned(&inputs, PREDICT_SEED));
-        });
-        push("seq_legacy", 1, legacy_ns, &mut mc);
 
         for &threads in &thread_counts {
             let pool = ThreadPool::new(threads);

@@ -977,15 +977,6 @@ impl Crossbar {
         }
     }
 
-    /// Routes every evaluation through [`Crossbar::matvec_reference`]
-    /// instead of the fast kernels — for equivalence tests and the
-    /// throughput baseline. `false` restores automatic kernel
-    /// selection. Convenience wrapper over
-    /// [`Crossbar::set_kernel_policy`].
-    pub fn set_reference_kernel(&mut self, on: bool) {
-        self.set_kernel_policy(if on { KernelPolicy::Reference } else { KernelPolicy::Auto });
-    }
-
     /// Sets the kernel routing policy. All policies produce
     /// bit-identical outputs, counters, margins, and RNG consumption —
     /// this is a speed/diagnostics knob, never a semantics knob.
@@ -2015,7 +2006,7 @@ mod tests {
             xbar.set_row_enabled(3, false);
             xbar.set_row_enabled(7, false);
         }
-        b.set_reference_kernel(true);
+        b.set_kernel_policy(KernelPolicy::Reference);
         for trial in 0..16 {
             let x: Vec<f32> =
                 (0..12).map(|i| ((i * (trial + 3)) % 5) as f32 - 2.0).collect();
@@ -2197,7 +2188,7 @@ mod tests {
         };
         let x: Vec<f32> = (0..16).map(|i| ((i * 3) % 7) as f32 / 3.0 - 1.0).collect();
         // Both kernels must reproduce the recorded bits.
-        for reference in [false, true] {
+        for policy in [KernelPolicy::Auto, KernelPolicy::Reference] {
             let mut r = StdRng::seed_from_u64(42);
             let mut xbar = Crossbar::program(&w, 16, 8, &config, &mut r);
             let row_map: Vec<usize> = (0..16).map(|i| (i + 9) % 16).collect();
@@ -2205,13 +2196,13 @@ mod tests {
             xbar.apply_remap(row_map, col_map);
             xbar.set_row_enabled(2, false);
             xbar.set_row_enabled(11, false);
-            xbar.set_reference_kernel(reference);
+            xbar.set_kernel_policy(policy);
             let y = xbar.matvec(&x, &mut r);
             for (j, (v, &bits)) in y.iter().zip(&GOLDEN_BITS).enumerate() {
                 assert_eq!(
                     v.to_bits(),
                     bits,
-                    "col {j} (reference={reference}): got {v}, want {}",
+                    "col {j} ({policy:?}): got {v}, want {}",
                     f64::from_bits(bits)
                 );
             }

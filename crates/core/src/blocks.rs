@@ -12,7 +12,7 @@ use neuspin_cim::{
     ScaleDropModule, SpatialDropModule, SpinDropModule,
 };
 use neuspin_device::SpinRngState;
-use neuspin_nn::conv::{im2col, im2col_into, ConvGeometry};
+use neuspin_nn::conv::{im2col_into, ConvGeometry};
 use neuspin_nn::Tensor;
 use rand::rngs::StdRng;
 
@@ -78,35 +78,9 @@ pub struct HwConv {
 }
 
 impl HwConv {
-    pub(crate) fn forward(&mut self, x: &Tensor, rng: &mut StdRng) -> Tensor {
-        let (n, _c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = (self.geo.out_size(h), self.geo.out_size(w));
-        let cout = self.geo.out_channels;
-        let col = im2col(x, &self.geo);
-        let positions = n * oh * ow;
-        // One batched crossbar call for all im2col positions: same
-        // matvec sequence (and RNG stream) as the per-position loop,
-        // without `positions` intermediate allocations.
-        let y = self.xbar.matmul(col.as_slice(), positions, rng);
-        let mut out = Tensor::zeros(&[n, cout, oh, ow]);
-        for pos in 0..positions {
-            let row = &y[pos * cout..(pos + 1) * cout];
-            let (ni, rem) = (pos / (oh * ow), pos % (oh * ow));
-            let (oy, ox) = (rem / ow, rem % ow);
-            for (co, &v) in row.iter().enumerate() {
-                out[((ni * cout + co) * oh + oy) * ow + ox] =
-                    v as f32 * self.alphas[co] + self.bias[co];
-            }
-        }
-        self.local.digital_ops += (positions * cout) as u64;
-        out
-    }
-
-    /// [`HwConv::forward`] writing into a caller-provided tensor, with
-    /// the im2col staging and crossbar output held in block-owned
-    /// scratch. Steady-state calls perform no heap allocation; the
-    /// float-op order (hence output bits, tallies, and RNG stream) is
-    /// identical to the allocating path.
+    /// Convolves `x` into `out`, with the im2col staging and crossbar
+    /// output held in block-owned scratch, so steady-state calls perform
+    /// no heap allocation.
     pub(crate) fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, rng: &mut StdRng) {
         let (n, _c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let (oh, ow) = (self.geo.out_size(h), self.geo.out_size(w));
@@ -117,6 +91,8 @@ impl HwConv {
             self.ybuf.clear();
             self.ybuf.resize(positions * cout, 0.0);
         }
+        // One batched crossbar call for all im2col positions: same
+        // matvec sequence (and RNG stream) as a per-position loop.
         self.xbar.matmul_into(self.col.as_slice(), positions, &mut self.ybuf, rng);
         out.resize_to(&[n, cout, oh, ow]);
         for pos in 0..positions {
@@ -158,26 +134,8 @@ pub struct HwFc {
 }
 
 impl HwFc {
-    pub(crate) fn forward(&mut self, x: &Tensor, rng: &mut StdRng) -> Tensor {
-        assert_eq!(x.ndim(), 2, "HwFc expects [N, F]");
-        let n = x.shape()[0];
-        let o = self.alphas.len();
-        let y = self.xbar.matmul(x.as_slice(), n, rng);
-        let mut out = Tensor::zeros(&[n, o]);
-        for ni in 0..n {
-            let row = &y[ni * o..(ni + 1) * o];
-            for (j, &v) in row.iter().enumerate() {
-                out[ni * o + j] = v as f32 * self.alphas[j] + self.bias[j];
-            }
-        }
-        self.local.digital_ops += (n * o) as u64;
-        out
-    }
-
-    /// [`HwFc::forward`] writing into a caller-provided tensor; the
-    /// crossbar output lives in block-owned scratch, so steady-state
-    /// calls are allocation-free and bit-identical to the allocating
-    /// path.
+    /// The FC layer into `out`; the crossbar output lives in
+    /// block-owned scratch, so steady-state calls are allocation-free.
     pub(crate) fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, rng: &mut StdRng) {
         assert_eq!(x.ndim(), 2, "HwFc expects [N, F]");
         let n = x.shape()[0];
@@ -224,29 +182,9 @@ pub struct HwFcSpinBayes {
 }
 
 impl HwFcSpinBayes {
-    pub(crate) fn forward(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        assert_eq!(x.ndim(), 2, "HwFcSpinBayes expects [N, F]");
-        let (n, f) = (x.shape()[0], x.shape()[1]);
-        let o = self.out_features;
-        let before = self.arbiter.bits_used();
-        let selected = if stochastic { self.arbiter.select(rng) } else { 0 };
-        self.local.rng_bits += self.arbiter.bits_used() - before;
-        let xbar = &mut self.xbars[selected];
-        let mut out = Tensor::zeros(&[n, o]);
-        for ni in 0..n {
-            let y = xbar.matvec(&x.as_slice()[ni * f..(ni + 1) * f], rng);
-            for (j, &v) in y.iter().enumerate() {
-                out[ni * o + j] = v as f32 + self.bias[j];
-            }
-        }
-        self.local.digital_ops += (n * o) as u64;
-        out
-    }
-
-    /// [`HwFcSpinBayes::forward`] writing into a caller-provided
-    /// tensor; the per-row matvec output lives in block-owned scratch.
-    /// Arbiter selection and RNG consumption match the allocating path
-    /// exactly.
+    /// The arbiter-selected instance's FC layer into `out` (instance 0
+    /// on deterministic passes); the per-row matvec output lives in
+    /// block-owned scratch.
     pub(crate) fn forward_into(
         &mut self,
         x: &Tensor,
@@ -304,22 +242,7 @@ pub struct HwDigitalFc {
 }
 
 impl HwDigitalFc {
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut out = x.matmul(&self.weight.transpose());
-        let (n, o) = (out.shape()[0], out.shape()[1]);
-        for ni in 0..n {
-            for j in 0..o {
-                out[ni * o + j] += self.bias[j];
-            }
-        }
-        self.local.digital_ops += (x.len() * o) as u64;
-        out
-    }
-
-    /// [`HwDigitalFc::forward`] writing into a caller-provided tensor,
-    /// reusing a cached weight transpose. The transpose is a
-    /// deterministic data movement, so the matmul consumes identical
-    /// operands in identical order — outputs stay bit-identical.
+    /// The classifier into `out`, reusing a cached weight transpose.
     pub(crate) fn forward_into(&mut self, x: &Tensor, out: &mut Tensor) {
         let (o, i) = (self.weight.shape()[0], self.weight.shape()[1]);
         if self.weight_t.shape() != [i, o] {
@@ -356,44 +279,8 @@ pub struct HwNorm {
 }
 
 impl HwNorm {
-    pub(crate) fn forward(&mut self, x: &Tensor, calibrating: bool) -> Tensor {
-        let (n, f, spatial) = layout(x.shape());
-        assert_eq!(f, self.gamma.len(), "feature mismatch");
-        if calibrating {
-            self.stats.ensure(f);
-            for ni in 0..n {
-                for si in 0..spatial {
-                    self.stats.count += 1;
-                    for fi in 0..f {
-                        let v = x[(ni * f + fi) * spatial + si] as f64;
-                        self.stats.push(fi, v);
-                    }
-                }
-            }
-            for fi in 0..f {
-                let (m, v) = self.stats.mean_var(fi);
-                self.mean[fi] = m;
-                self.var[fi] = v;
-            }
-        }
-        let mut out = Tensor::zeros(x.shape());
-        for ni in 0..n {
-            for fi in 0..f {
-                let inv = 1.0 / (self.var[fi] + 1e-5).sqrt();
-                let (g, b, m) = (self.gamma[fi], self.beta[fi], self.mean[fi]);
-                for si in 0..spatial {
-                    let i = (ni * f + fi) * spatial + si;
-                    out[i] = g * (x[i] - m) * inv + b;
-                }
-            }
-        }
-        self.local.digital_ops += x.len() as u64;
-        out
-    }
-
-    /// [`HwNorm::forward`] writing into a caller-provided tensor.
-    /// Calibration statistics update identically; the normalize loop
-    /// runs in the same order, so outputs stay bit-identical.
+    /// Normalizes `x` into `out`. A calibrating pass first folds `x`
+    /// into the running statistics and normalizes with the update.
     pub(crate) fn forward_into(&mut self, x: &Tensor, out: &mut Tensor, calibrating: bool) {
         let (n, f, spatial) = layout(x.shape());
         assert_eq!(f, self.gamma.len(), "feature mismatch");
@@ -444,48 +331,10 @@ pub struct HwInvNorm {
 }
 
 impl HwInvNorm {
-    pub(crate) fn forward(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        let (n, f, spatial) = layout(x.shape());
-        assert_eq!(f, self.gamma.len(), "feature mismatch");
-        let (gamma_kept, beta_kept) = match (&mut self.modules, stochastic) {
-            (Some((mg, mb)), true) => {
-                self.local.rng_bits += 2;
-                (!mg.sample(rng), !mb.sample(rng))
-            }
-            _ => (true, true),
-        };
-        let m_elems = (f * spatial) as f32;
-        let mut out = Tensor::zeros(x.shape());
-        for ni in 0..n {
-            // Affine first.
-            let mut a = vec![0.0f32; f * spatial];
-            for fi in 0..f {
-                let g = if gamma_kept { self.gamma[fi] } else { 1.0 };
-                let b = if beta_kept { self.beta[fi] } else { 0.0 };
-                for si in 0..spatial {
-                    a[fi * spatial + si] = g * x[(ni * f + fi) * spatial + si] + b;
-                }
-            }
-            // Per-sample whitening.
-            let mean: f32 = a.iter().sum::<f32>() / m_elems;
-            let var: f32 = a.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / m_elems;
-            let inv = 1.0 / (var + 1e-5).sqrt();
-            for (idx, &v) in a.iter().enumerate() {
-                let fi = idx / spatial;
-                let si = idx % spatial;
-                out[(ni * f + fi) * spatial + si] = (v - mean) * inv;
-            }
-        }
-        self.local.digital_ops += 2 * x.len() as u64;
-        self.local.sram_accesses += 2 * f as u64; // γ and β reads
-        out
-    }
-
-    /// [`HwInvNorm::forward`] writing into a caller-provided tensor;
-    /// the per-sample affine staging lives in block-owned scratch. The
-    /// affine loop fully overwrites the buffer each sample, so reuse
-    /// cannot leak values between samples; module sampling order and
-    /// RNG consumption match the allocating path exactly.
+    /// Affine (with sampled γ/β dropout on stochastic passes), then
+    /// per-sample whitening, into `out`. The per-sample affine staging
+    /// lives in block-owned scratch; the affine loop fully overwrites it
+    /// each sample, so reuse cannot leak values between samples.
     pub(crate) fn forward_into(
         &mut self,
         x: &Tensor,
@@ -580,98 +429,9 @@ pub enum HwDropout {
 }
 
 impl HwDropout {
-    pub(crate) fn forward(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        let (n, f, spatial) = layout(x.shape());
-        match self {
-            HwDropout::PerNeuron { modules, p } => {
-                if !stochastic {
-                    return x.clone();
-                }
-                assert_eq!(modules.len(), f * spatial, "one module per neuron");
-                let keep_scale = 1.0 / (1.0 - *p);
-                let mut out = Tensor::zeros(x.shape());
-                for ni in 0..n {
-                    for (mi, module) in modules.iter_mut().enumerate() {
-                        let dropped = module.sample(rng);
-                        let i = ni * f * spatial + mi;
-                        out[i] = if dropped { 0.0 } else { x[i] * keep_scale };
-                    }
-                }
-                out
-            }
-            HwDropout::PerChannel { modules, p } => {
-                if !stochastic {
-                    return x.clone();
-                }
-                assert_eq!(modules.len(), f, "one module per channel");
-                let keep_scale = 1.0 / (1.0 - *p);
-                let mut out = Tensor::zeros(x.shape());
-                for ni in 0..n {
-                    for (fi, module) in modules.iter_mut().enumerate() {
-                        let dropped = module.sample(rng);
-                        for si in 0..spatial {
-                            let i = (ni * f + fi) * spatial + si;
-                            out[i] = if dropped { 0.0 } else { x[i] * keep_scale };
-                        }
-                    }
-                }
-                out
-            }
-            HwDropout::Scale { module, scale, local } => {
-                let dropped = if stochastic {
-                    module.sample(local, rng)
-                } else {
-                    local.sram_accesses += scale.len() as u64;
-                    false
-                };
-                if dropped {
-                    return x.clone(); // scale modulated to identity
-                }
-                assert_eq!(scale.len(), f, "scale length mismatch");
-                let mut out = Tensor::zeros(x.shape());
-                for ni in 0..n {
-                    for (fi, &s) in scale.iter().enumerate() {
-                        for si in 0..spatial {
-                            let i = (ni * f + fi) * spatial + si;
-                            out[i] = x[i] * s;
-                        }
-                    }
-                }
-                out
-            }
-            HwDropout::ViScale { mu, sigma, bits_per_sample, local, .. } => {
-                assert_eq!(mu.len(), f, "scale length mismatch");
-                let sampled: Vec<f32> = if stochastic {
-                    local.rng_bits += u64::from(*bits_per_sample) * f as u64;
-                    (0..f)
-                        .map(|j| {
-                            mu[j]
-                                + sigma[j]
-                                    * neuspin_device::stats::standard_normal(rng) as f32
-                        })
-                        .collect()
-                } else {
-                    mu.clone()
-                };
-                local.sram_accesses += 2 * f as u64;
-                let mut out = Tensor::zeros(x.shape());
-                for ni in 0..n {
-                    for (fi, &s) in sampled.iter().enumerate() {
-                        for si in 0..spatial {
-                            let i = (ni * f + fi) * spatial + si;
-                            out[i] = x[i] * s;
-                        }
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// [`HwDropout::forward`] writing into a caller-provided tensor.
-    /// Deterministic passes copy the input through; stochastic passes
-    /// draw the same module/RNG sequence as the allocating path. The
-    /// ViScale posterior samples live in variant-owned scratch.
+    /// The stochastic unit into `out`. Deterministic passes copy the
+    /// input through (or apply the mean scale); the ViScale posterior
+    /// samples live in variant-owned scratch.
     pub(crate) fn forward_into(
         &mut self,
         x: &Tensor,
@@ -814,36 +574,9 @@ pub enum HwBlock {
 }
 
 impl HwBlock {
-    /// Executes the block.
-    pub(crate) fn forward(
-        &mut self,
-        x: &Tensor,
-        stochastic: bool,
-        calibrating: bool,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        match self {
-            HwBlock::Conv(b) => b.forward(x, rng),
-            HwBlock::Fc(b) => b.forward(x, rng),
-            HwBlock::FcSpinBayes(b) => b.forward(x, stochastic, rng),
-            HwBlock::DigitalFc(b) => b.forward(x),
-            HwBlock::Norm(b) => b.forward(x, calibrating),
-            HwBlock::InvNorm(b) => b.forward(x, stochastic, rng),
-            HwBlock::HardTanh => x.map(|v| v.clamp(-1.0, 1.0)),
-            HwBlock::MaxPool(k) => max_pool(x, *k),
-            HwBlock::Flatten => {
-                let n = x.shape()[0];
-                let rest: usize = x.shape()[1..].iter().product();
-                x.reshape(&[n, rest])
-            }
-            HwBlock::Dropout(d) => d.forward(x, stochastic, rng),
-        }
-    }
-
-    /// Executes the block, writing the activation into `out` — the
-    /// forward-plan path. Bit-identical to [`HwBlock::forward`]: same
-    /// float-op order, op tallies, and RNG consumption; only the
-    /// destination storage differs.
+    /// Executes the block, writing the activation into `out` (resized
+    /// as needed; its previous contents never leak into the result).
+    /// `calibrating` folds the input into the norm statistics.
     pub(crate) fn forward_into(
         &mut self,
         x: &Tensor,
@@ -1092,12 +825,6 @@ impl HwBlock {
             ),
         }
     }
-}
-
-fn max_pool(x: &Tensor, k: usize) -> Tensor {
-    let mut out = Tensor::default();
-    max_pool_into(x, k, &mut out);
-    out
 }
 
 fn max_pool_into(x: &Tensor, k: usize, out: &mut Tensor) {

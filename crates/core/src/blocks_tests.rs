@@ -13,18 +13,19 @@ fn rng() -> StdRng {
     StdRng::seed_from_u64(4242)
 }
 
-/// Asserts that `forward_into` on a clone of `block` reproduces
-/// `block.forward` bit for bit (same outputs, tallies, and RNG
-/// consumption), twice in a row so the warm-scratch steady state is
-/// covered too.
-fn assert_into_twin(block: &mut HwBlock, x: &Tensor, stochastic: bool) {
+/// Asserts that `block` writing twice into one dirty, wrong-shaped
+/// `out` matches a clone twin writing each round into a fresh
+/// `Tensor::default()`: same output bits, tallies and RNG position, so
+/// neither stale activations nor warm scratch leak into a result.
+fn assert_scratch_reuse(block: &mut HwBlock, x: &Tensor, stochastic: bool) {
     let mut twin = block.clone();
     let mut r1 = rng();
     let mut r2 = rng();
     let mut out = Tensor::from_vec(vec![f32::NAN; 3], &[3]); // dirty, wrong shape
     for round in 0..2 {
-        let want = block.forward(x, stochastic, false, &mut r1);
-        twin.forward_into(x, &mut out, stochastic, false, &mut r2);
+        block.forward_into(x, &mut out, stochastic, false, &mut r1);
+        let mut want = Tensor::default();
+        twin.forward_into(x, &mut want, stochastic, false, &mut r2);
         assert_eq!(out.shape(), want.shape(), "round {round}");
         for (a, b) in out.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "round {round}");
@@ -58,7 +59,8 @@ fn hw_conv_matches_direct_convolution() {
         ybuf: Vec::new(),
     };
     let x = Tensor::from_fn(&[1, 1, 4, 4], |i| (i as f32 * 0.3).sin());
-    let y = block.forward(&x, &mut r);
+    let mut y = Tensor::default();
+    block.forward_into(&x, &mut y, &mut r);
     assert_eq!(y.shape(), &[1, 2, 4, 4]);
     // Reference: direct convolution with the same ±1 kernels.
     let col = neuspin_nn::im2col(&x, &geo);
@@ -91,8 +93,9 @@ fn hw_norm_calibration_whitens_features() {
         1 => -2.0 + 3.0 * ((i / 3) as f32 * 0.53).cos(),
         _ => 0.5 * ((i / 3) as f32 * 0.71).sin(),
     });
-    let _ = block.forward(&x, true); // calibration pass
-    let y = block.forward(&x, false);
+    let mut y = Tensor::default();
+    block.forward_into(&x, &mut y, true); // calibration pass
+    block.forward_into(&x, &mut y, false);
     for f in 0..3 {
         let col: Vec<f32> = (0..64).map(|n| y[n * 3 + f]).collect();
         let mean: f32 = col.iter().sum::<f32>() / 64.0;
@@ -114,8 +117,9 @@ fn hw_norm_accumulates_across_calibration_rounds() {
     };
     let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4, 1]);
     let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[4, 1]);
-    let _ = block.forward(&a, true);
-    let _ = block.forward(&b, true);
+    let mut y = Tensor::default();
+    block.forward_into(&a, &mut y, true);
+    block.forward_into(&b, &mut y, true);
     // Mean over both batches = 4.5.
     assert!((block.mean[0] - 4.5).abs() < 1e-5, "mean {}", block.mean[0]);
 }
@@ -131,9 +135,10 @@ fn hw_inv_norm_heals_global_scale_at_block_level() {
         abuf: Vec::new(),
     };
     let x = Tensor::from_fn(&[2, 4], |i| (i as f32 * 0.61).cos());
-    let y1 = block.forward(&x, false, &mut r);
     let scaled = &x * 1.7;
-    let y2 = block.forward(&scaled, false, &mut r);
+    let (mut y1, mut y2) = (Tensor::default(), Tensor::default());
+    block.forward_into(&x, &mut y1, false, &mut r);
+    block.forward_into(&scaled, &mut y2, false, &mut r);
     // β breaks exact invariance, but the output must stay close.
     let diff = (&y1 - &y2).map(f32::abs).max();
     assert!(diff < 0.35, "inverted norm should largely absorb a 1.7× drift: {diff}");
@@ -145,8 +150,9 @@ fn hw_inv_norm_heals_global_scale_at_block_level() {
         local: OpCounter::new(),
         abuf: Vec::new(),
     };
-    let z1 = pure.forward(&x, false, &mut r);
-    let z2 = pure.forward(&scaled, false, &mut r);
+    let (mut z1, mut z2) = (Tensor::default(), Tensor::default());
+    pure.forward_into(&x, &mut z1, false, &mut r);
+    pure.forward_into(&scaled, &mut z2, false, &mut r);
     assert!((&z1 - &z2).map(f32::abs).max() < 1e-4);
 }
 
@@ -161,9 +167,11 @@ fn hw_dropout_scale_identity_when_dropped() {
         local: OpCounter::new(),
     };
     let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
+    let mut y = Tensor::default();
     let mut identity_seen = false;
     for _ in 0..20 {
-        if block.forward(&x, true, &mut r) == x {
+        block.forward_into(&x, &mut y, true, &mut r);
+        if y == x {
             identity_seen = true;
             break;
         }
@@ -178,10 +186,11 @@ fn hw_dropout_per_neuron_counts_bits() {
         (0..6).map(|_| SpinDropModule::new(0.3, VariedParams::ideal(), &mut r)).collect();
     let mut block = HwDropout::PerNeuron { modules, p: 0.3 };
     let x = Tensor::ones(&[2, 6]);
-    let _ = block.forward(&x, true, &mut r);
+    let mut y = Tensor::default();
+    block.forward_into(&x, &mut y, true, &mut r);
     assert_eq!(block.counter().rng_bits, 12, "6 modules × 2 samples");
     // Non-stochastic pass consumes nothing.
-    let y = block.forward(&x, false, &mut r);
+    block.forward_into(&x, &mut y, false, &mut r);
     assert_eq!(y, x);
     assert_eq!(block.counter().rng_bits, 12);
 }
@@ -292,7 +301,7 @@ fn forward_into_twins_are_bit_identical() {
             (&HwBlock::MaxPool(2), &x_img),
             (&HwBlock::Flatten, &x_img),
         ] {
-            assert_into_twin(&mut block.clone(), x, stochastic);
+            assert_scratch_reuse(&mut block.clone(), x, stochastic);
         }
     }
 }
@@ -307,6 +316,7 @@ fn hw_digital_fc_matches_matmul() {
         weight_t: Tensor::default(),
     };
     let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]);
-    let y = block.forward(&x);
+    let mut y = Tensor::default();
+    block.forward_into(&x, &mut y);
     assert_eq!(y.as_slice(), &[3.5, 6.5]);
 }

@@ -20,6 +20,7 @@ use rand::SeedableRng;
 /// order, mean_sense_margin bits)` per run.
 type Golden = (&'static str, u64, [u64; 8], u64);
 
+#[rustfmt::skip]
 const GOLDEN: [Golden; 8] = [
     ("Deterministic/analog", 0x726bcf0d0055902a, [56630, 6590, 6100, 3484, 39, 0, 0, 11076], 0x401c9d4808b61ad9),
     ("SpinDrop/analog", 0x06c93a355c7d979a, [78518, 6590, 7708, 5092, 188, 2412, 0, 16188], 0x401e8d5f6f43654d),
@@ -88,8 +89,7 @@ fn commission(method: Method, crossbar: CrossbarConfig, seed: u64) -> HardwareMo
     let a = arch();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sw = build_cnn(method, &a, &mut rng);
-    let config =
-        HardwareConfig { crossbar, passes: 3, spare_cols: 2, ..HardwareConfig::default() };
+    let config = HardwareConfig { crossbar, passes: 3, spare_cols: 2, ..HardwareConfig::default() };
     let mut hw = HardwareModel::compile(&mut sw, method, &a, &config, &mut rng);
     hw.fault_management(&BistConfig::default(), &mut rng);
     let calib = Tensor::from_fn(&[5, 1, 8, 8], |i| ((i * 29 % 53) as f32 / 26.5) - 1.0);

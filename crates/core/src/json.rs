@@ -228,7 +228,7 @@ impl std::error::Error for ParseError {}
 /// Parses a JSON document (used by the round-trip tests and any tool
 /// that wants to read the results files back).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -239,6 +239,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -380,13 +381,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the whole run up to the next quote or escape.
+                    // Both stop bytes are ASCII, so the run ends on a
+                    // char boundary of the (already valid) input.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -659,6 +661,27 @@ mod tests {
         assert_eq!(v.get("a").unwrap().at(1).unwrap().as_f64(), Some(2500.0));
         assert_eq!(v.get("b"), Some(&Json::Obj(vec![])));
         assert_eq!(v.get("c").unwrap().as_str(), Some("A\t"));
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // A string body the size of the serve layer's request cap.
+        let body = "a".repeat(1 << 20);
+        let doc = format!("{{\"input\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "1 MiB string took {took:?}");
+        assert_eq!(v.get("input").and_then(Json::as_str), Some(body.as_str()));
+    }
+
+    #[test]
+    fn multibyte_utf8_round_trips_around_escapes() {
+        let original = "µJ → «naïve» \"中文\"\n\t🦀\\end";
+        let v = Json::obj([("s", original.to_json())]);
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        let doc = r#""éé\n中\"🦀\\""#;
+        assert_eq!(parse(doc).unwrap(), Json::Str("éé\n中\"🦀\\".to_string()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::extract::TrainedParams;
 use crate::json::ToJson;
 use crate::pool::ThreadPool;
 use neuspin_bayes::{
-    entropy_threshold_for_coverage, mc_predict_seeded, pass_seeds, quantize, ArchConfig, Gated,
+    entropy_threshold_for_coverage, pass_seeds, quantize, ArchConfig, Gated,
     McAccumulator, Method, Predictive, SpinBayesConfig,
 };
 use neuspin_cim::{
@@ -402,41 +402,6 @@ impl HardwareModel {
         self.passes = passes;
     }
 
-    /// One hardware forward pass.
-    pub fn forward(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        if crate::telemetry::active() {
-            return self.forward_traced(x, stochastic, rng);
-        }
-        let mut cur = x.clone();
-        for block in &mut self.blocks {
-            cur = block.forward(&cur, stochastic, false, rng);
-        }
-        cur
-    }
-
-    /// The telemetry-instrumented twin of [`HardwareModel::forward`]:
-    /// one span per pipeline block carrying the block's op-counter
-    /// delta, plus a whole-pass span with the energy charged to this
-    /// forward. Consumes exactly the same RNG draws as the plain path,
-    /// so traced and untraced runs are bit-identical.
-    fn forward_traced(&mut self, x: &Tensor, stochastic: bool, rng: &mut StdRng) -> Tensor {
-        let mut span = crate::span!("hw_forward", batch = x.shape()[0]);
-        let before = self.raw_counter();
-        let mut cur = x.clone();
-        for (layer, block) in self.blocks.iter_mut().enumerate() {
-            let mut block_span = crate::span!("hw_block", layer = layer, kind = block.kind());
-            let block_before = block.counter();
-            cur = block.forward(&cur, stochastic, false, rng);
-            block_span.record_ops(&block.counter().since(&block_before));
-        }
-        let delta = self.raw_counter().since(&before);
-        // Recorded as a field only: the per-block spans above already
-        // folded these ops into the registry rollup.
-        span.record("ops", delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&delta).0);
-        cur
-    }
-
     /// (Re)sizes the forward plan for input `shape`. Returns whether a
     /// rebuild happened: the pass that follows a rebuild regrows every
     /// scratch buffer once; subsequent same-shape passes reuse them.
@@ -453,14 +418,15 @@ impl HardwareModel {
         true
     }
 
-    /// One hardware forward pass through the planned, allocation-free
-    /// path: activations ping-pong between two persistent buffers and
-    /// every block writes through its `forward_into` twin, so a
-    /// steady-state pass (same batch shape as the previous one) touches
-    /// the heap zero times. Bit-identical to [`HardwareModel::forward`]
-    /// — same float-op order, op tallies, and RNG consumption. The
-    /// result lives in an internal buffer; clone it if it must outlive
-    /// the next pass.
+    /// One hardware forward pass. Activations ping-pong between two
+    /// persistent buffers and every block writes through its
+    /// `forward_into`, so a steady-state pass (same batch shape as the
+    /// previous one) touches the heap zero times. With telemetry on, the
+    /// pass emits one span per pipeline block carrying the block's
+    /// op-counter delta, plus a whole-pass span with the energy charged
+    /// to this forward; spans draw no randomness, so traced and untraced
+    /// runs are bit-identical. The result lives in an internal buffer;
+    /// clone it if it must outlive the next pass.
     pub fn forward_planned(
         &mut self,
         x: &Tensor,
@@ -468,57 +434,50 @@ impl HardwareModel {
         rng: &mut StdRng,
     ) -> &Tensor {
         let rebuilt = self.plan_for(x.shape());
-        if crate::telemetry::active() {
-            return self.forward_planned_traced(x, stochastic, rebuilt, rng);
-        }
-        let mut a = std::mem::take(&mut self.ping);
-        let mut b = std::mem::take(&mut self.pong);
-        let mut first = true;
-        for block in &mut self.blocks {
-            let src = if first { x } else { &b };
-            block.forward_into(src, &mut a, stochastic, false, rng);
-            std::mem::swap(&mut a, &mut b);
-            first = false;
-        }
-        self.ping = a;
-        self.pong = b;
-        &self.pong
-    }
-
-    /// The telemetry-instrumented twin of
-    /// [`HardwareModel::forward_planned`]: emits exactly the span
-    /// structure and annotations of [`HardwareModel::forward`]'s traced
-    /// path, so planned and legacy runs produce byte-identical traces.
-    fn forward_planned_traced(
-        &mut self,
-        x: &Tensor,
-        stochastic: bool,
-        rebuilt: bool,
-        rng: &mut StdRng,
-    ) -> &Tensor {
+        let traced = crate::telemetry::active();
         let mut span = crate::span!("hw_forward", batch = x.shape()[0]);
-        let before = self.raw_counter();
-        let mut a = std::mem::take(&mut self.ping);
-        let mut b = std::mem::take(&mut self.pong);
-        let mut first = true;
-        for (layer, block) in self.blocks.iter_mut().enumerate() {
-            let mut block_span = crate::span!("hw_block", layer = layer, kind = block.kind());
-            let block_before = block.counter();
-            let src = if first { x } else { &b };
-            block.forward_into(src, &mut a, stochastic, false, rng);
-            block_span.record_ops(&block.counter().since(&block_before));
-            std::mem::swap(&mut a, &mut b);
-            first = false;
-        }
-        self.ping = a;
-        self.pong = b;
+        let before = traced.then(|| self.raw_counter());
+        self.run_blocks(x, stochastic, false, traced, rng);
         if rebuilt && crate::telemetry::metrics_enabled() {
             crate::telemetry::gauge("scratch_bytes").set(self.scratch_bytes() as f64);
         }
-        let delta = self.raw_counter().since(&before);
-        span.record("ops", delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&delta).0);
+        if let Some(before) = before {
+            let delta = self.raw_counter().since(&before);
+            // Recorded as a field only: the per-block spans already
+            // folded these ops into the registry rollup.
+            span.record("ops", delta.to_json());
+            span.record("energy_j", self.energy_model.energy_of(&delta).0);
+        }
         &self.pong
+    }
+
+    /// The one block loop, shared by [`HardwareModel::forward_planned`]
+    /// and [`HardwareModel::calibrate`]: each block reads one plan
+    /// buffer and writes the other, leaving the output in `self.pong`.
+    /// `traced` wraps every block in an `hw_block` span.
+    fn run_blocks(
+        &mut self,
+        x: &Tensor,
+        stochastic: bool,
+        calibrating: bool,
+        traced: bool,
+        rng: &mut StdRng,
+    ) {
+        let mut a = std::mem::take(&mut self.ping);
+        let mut b = std::mem::take(&mut self.pong);
+        for (layer, block) in self.blocks.iter_mut().enumerate() {
+            let src = if layer == 0 { x } else { &b };
+            let span = traced.then(|| {
+                (crate::span!("hw_block", layer = layer, kind = block.kind()), block.counter())
+            });
+            block.forward_into(src, &mut a, stochastic, calibrating, rng);
+            if let Some((mut span, before)) = span {
+                span.record_ops(&block.counter().since(&before));
+            }
+            std::mem::swap(&mut a, &mut b);
+        }
+        self.ping = a;
+        self.pong = b;
     }
 
     /// Bytes currently held by the forward plan's scratch arenas: the
@@ -541,12 +500,11 @@ impl HardwareModel {
     /// deterministic hardware passes over `inputs` (the standard CIM
     /// deployment flow; absorbs programming-time variation). A no-op for
     /// the inverted-norm method, which needs no stored statistics.
+    /// Runs the forward-plan block loop without rebuilding the plan or
+    /// emitting spans.
     pub fn calibrate(&mut self, inputs: &Tensor, rounds: usize, rng: &mut StdRng) {
         for _ in 0..rounds.max(1) {
-            let mut cur = inputs.clone();
-            for block in &mut self.blocks {
-                cur = block.forward(&cur, false, true, rng);
-            }
+            self.run_blocks(inputs, false, true, false, rng);
         }
     }
 
@@ -572,9 +530,7 @@ impl HardwareModel {
     /// stream derived from `seed` (the [`neuspin_bayes::pass_seeds`]
     /// schedule) instead of one shared ambient stream. The reference
     /// path [`HardwareModel::predict_par`] is bit-identical to, at any
-    /// thread count. Runs through the planned zero-allocation forward;
-    /// [`HardwareModel::predict_seeded_unplanned`] is the retained
-    /// pre-plan engine (bit-identical, allocation-heavy).
+    /// thread count. Runs through the planned zero-allocation forward.
     pub fn predict_seeded(&mut self, inputs: &Tensor, seed: u64) -> Predictive {
         let stochastic = self.method.is_bayesian();
         let passes = if stochastic { self.passes } else { 1 };
@@ -595,29 +551,14 @@ impl HardwareModel {
         acc.finish()
     }
 
-    /// The pre-plan sequential engine: allocates a fresh activation
-    /// tensor per block per pass. Retained as the "before" baseline of
-    /// the `exp_throughput` allocation/speedup comparison — results and
-    /// traces are bit-identical to [`HardwareModel::predict_seeded`],
-    /// only the memory behavior differs.
-    pub fn predict_seeded_unplanned(&mut self, inputs: &Tensor, seed: u64) -> Predictive {
-        let stochastic = self.method.is_bayesian();
-        let passes = if stochastic { self.passes } else { 1 };
-        let _span = crate::span!("predict", engine = "seq", passes = passes);
-        mc_predict_seeded(passes, seed, |t, rng| {
-            let _pass = crate::span!("mc_pass", pass = t);
-            self.forward(inputs, stochastic, rng)
-        })
-    }
-
     /// Deterministic parallel Bayesian prediction: the MC passes fan out
     /// over `pool` workers, each pass on the same per-pass RNG stream
     /// [`HardwareModel::predict_seeded`] would give it, reduced in pass
     /// order — so the returned [`Predictive`] is bit-identical for any
-    /// thread count. Each worker runs on a clone of the model; the
-    /// clones' op counters and sense-margin statistics are merged back
-    /// into `self` on join, keeping energy accounting and the health
-    /// monitor accurate.
+    /// thread count. Each worker clones the model on its own thread and
+    /// runs the planned forward on the clone; the clones' op counters
+    /// and sense-margin statistics are merged back into `self` on join,
+    /// keeping energy accounting and the health monitor accurate.
     pub fn predict_par(&mut self, inputs: &Tensor, seed: u64, pool: &ThreadPool) -> Predictive {
         let stochastic = self.method.is_bayesian();
         let passes = if stochastic { self.passes } else { 1 };
@@ -645,7 +586,9 @@ impl HardwareModel {
                 m.reset_sense_margins();
                 m
             },
-            |model: &mut HardwareModel, _, rng| model.forward(inputs, stochastic, rng),
+            |model: &mut HardwareModel, _, rng| {
+                model.forward_planned(inputs, stochastic, rng).clone()
+            },
         );
         // The one shared merge path (satellite: no bespoke `+=` loops).
         let counter_delta =
@@ -814,20 +757,6 @@ impl HardwareModel {
                 _ => {}
             }
         }
-    }
-
-    /// Routes every binary crossbar through the retained seed kernel
-    /// ([`neuspin_cim::Crossbar::matvec_reference`]) — the "before"
-    /// baseline of the `exp_throughput` comparison. `false` restores
-    /// automatic kernel selection. Outputs are bit-identical either
-    /// way. Convenience wrapper over
-    /// [`HardwareModel::set_kernel_policy`].
-    pub fn use_reference_kernel(&mut self, on: bool) {
-        self.set_kernel_policy(if on {
-            KernelPolicy::Reference
-        } else {
-            KernelPolicy::Auto
-        });
     }
 
     /// Sets the evaluation-kernel routing policy on every binary

@@ -15,6 +15,13 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
+# The repository benchmark (perfbench/, see BENCHMARK.json) is a
+# separate package outside the workspace, so the build above skips it.
+# Compile it here so an API change under crates/ that breaks it fails
+# CI instead of the next benchmark run.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

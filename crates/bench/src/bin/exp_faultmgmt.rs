@@ -180,11 +180,9 @@ fn main() -> ExitCode {
                     coverage_target,
                     &mut setup.rng(point_tag + 4 + ci as u64),
                 );
-                let (pred, gated) = managed_hw.predict_gated(
-                    &test.inputs,
-                    threshold,
-                    &mut setup.rng(point_tag + 2),
-                );
+                let pred =
+                    managed_hw.predict(&test.inputs, &mut setup.rng(point_tag + 2));
+                let gated = pred.gate(threshold);
                 let accuracy_on_accepted =
                     pred.accuracy_on_accepted(&test.labels, &gated);
                 println!(

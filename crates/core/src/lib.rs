@@ -68,7 +68,7 @@ pub use extract::TrainedParams;
 pub use health::{HealthConfig, HealthMonitor, HealthPolicy};
 pub use json::{Json, ToJson};
 pub use model::{FaultManagementReport, HardwareConfig, HardwareModel, LayerFaultReport, ReplicaBank};
-pub use pool::{mc_predict_par, mc_predict_par_on, ThreadPool};
+pub use pool::{mc_predict_par, ThreadPool};
 pub use reliability::{reliability_base, sweep, SweepConfig, SweepKind, SweepPoint};
 pub use report::{CorruptionResult, OodResult, Series, Table1Row};
 pub use runtime::{
@@ -282,7 +282,8 @@ mod tests {
 
         let threshold = hw.calibrate_abstention(&x, 0.75, &mut rng);
         assert!(threshold.is_finite() && threshold > 0.0);
-        let (pred, gated) = hw.predict_gated(&x, threshold, &mut rng);
+        let pred = hw.predict(&x, &mut rng);
+        let gated = pred.gate(threshold);
         assert_eq!(gated.accepted.len(), 8);
         assert!(gated.coverage() > 0.0);
         assert!(pred.entropy.iter().all(|h| h.is_finite()));

@@ -8,8 +8,8 @@ use crate::extract::TrainedParams;
 use crate::json::ToJson;
 use crate::pool::ThreadPool;
 use neuspin_bayes::{
-    entropy_threshold_for_coverage, pass_seeds, quantize, ArchConfig, Gated,
-    McAccumulator, Method, Predictive, SpinBayesConfig,
+    entropy_threshold_for_coverage, pass_seeds, quantize, ArchConfig, McAccumulator, Method,
+    Predictive, SpinBayesConfig,
 };
 use neuspin_cim::{
     fault_aware_remap, march_test, repair_columns, Arbiter, BistConfig, Crossbar, CrossbarConfig,
@@ -534,89 +534,29 @@ impl HardwareModel {
     pub fn predict_seeded(&mut self, inputs: &Tensor, seed: u64) -> Predictive {
         let stochastic = self.method.is_bayesian();
         let passes = if stochastic { self.passes } else { 1 };
-        let _span = crate::span!("predict", engine = "seq", passes = passes);
-        let seeds = pass_seeds(seed, passes);
-        let mut acc = McAccumulator::new();
-        let mut probs = std::mem::take(&mut self.probs);
-        for (t, &pass_seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(pass_seed);
-            let logits = {
-                let _pass = crate::span!("mc_pass", pass = t);
-                self.forward_planned(inputs, stochastic, &mut rng)
-            };
-            softmax_into(logits, &mut probs);
-            acc.push(&probs);
-        }
-        self.probs = probs;
-        acc.finish()
+        let mut span = crate::span!("predict", engine = "seq", passes = passes);
+        self.seeded_passes(inputs, seed, passes, stochastic, &mut span)
     }
 
     /// Deterministic parallel Bayesian prediction: the MC passes fan out
     /// over `pool` workers, each pass on the same per-pass RNG stream
     /// [`HardwareModel::predict_seeded`] would give it, reduced in pass
     /// order — so the returned [`Predictive`] is bit-identical for any
-    /// thread count. Each worker clones the model on its own thread and
-    /// runs the planned forward on the clone; the clones' op counters
-    /// and sense-margin statistics are merged back into `self` on join,
-    /// keeping energy accounting and the health monitor accurate.
+    /// thread count. Runs [`HardwareModel::predict_par_in`] on a fresh
+    /// [`ReplicaBank`]: the replicas are cloned for this call only, and
+    /// their op counters and sense-margin statistics are merged back
+    /// into `self`, keeping energy accounting and the health monitor
+    /// accurate.
     pub fn predict_par(&mut self, inputs: &Tensor, seed: u64, pool: &ThreadPool) -> Predictive {
-        let stochastic = self.method.is_bayesian();
-        let passes = if stochastic { self.passes } else { 1 };
-        let mut span = crate::span!("predict", engine = "par", passes = passes);
-        // Nothing to fan out: run the planned sequential engine inline
-        // (no clone, no merge). Same RNG schedule, reduction order, and
-        // trace bytes as the pooled path, so results stay bit-identical
-        // across thread counts.
-        if passes == 1 || pool.threads() == 1 {
-            return self.mc_inline_par(inputs, seed, passes, stochastic, &mut span);
-        }
-        let base_counter = self.raw_counter();
-        let n_margins = self.crossbar_margins().len();
-        let this: &HardwareModel = self;
-        let (pred, workers) = crate::pool::mc_predict_par(
-            pool,
-            passes,
-            seed,
-            // Margin accumulators start from zero in every clone: the
-            // delta below is then an exact per-worker sum, independent
-            // of the source model's accumulated (non-dyadic) totals —
-            // a `(base + m) - base` subtraction is not.
-            |_| {
-                let mut m = this.clone();
-                m.reset_sense_margins();
-                m
-            },
-            |model: &mut HardwareModel, _, rng| {
-                model.forward_planned(inputs, stochastic, rng).clone()
-            },
-        );
-        // The one shared merge path (satellite: no bespoke `+=` loops).
-        let counter_delta =
-            OpCounter::merged(workers.iter().map(|w| w.raw_counter().since(&base_counter)));
-        let mut margin_deltas = vec![(0.0f64, 0u64); n_margins];
-        for worker in &workers {
-            for (delta, after) in
-                margin_deltas.iter_mut().zip(worker.crossbar_margins())
-            {
-                delta.0 += after.0;
-                delta.1 += after.1;
-            }
-        }
-        self.extra.merge(&counter_delta);
-        self.merge_crossbar_margins(&margin_deltas);
-        // Field only: worker-side block spans already fed the rollup.
-        span.record("ops", counter_delta.to_json());
-        span.record("energy_j", self.energy_model.energy_of(&counter_delta).0);
-        pred
+        self.predict_par_in(inputs, seed, pool, &mut ReplicaBank::new())
     }
 
-    /// [`HardwareModel::predict_par`] over persistent replicas: instead
-    /// of cloning the model per call, the workers run on `bank`'s
-    /// replicas — cloned once when the bank is (re)attached — and their
-    /// op-counter and sense-margin deltas are resynced into `self`
-    /// through the same merge path after every call. Bit-identical to
-    /// [`HardwareModel::predict_seeded`] at any thread count; a
-    /// steady-state call clones nothing.
+    /// [`HardwareModel::predict_par`] over persistent replicas: the
+    /// workers run on `bank`'s replicas — cloned on the calling thread
+    /// when the bank is (re)attached — and after every call each
+    /// replica's op-counter and sense-margin deltas are folded into
+    /// `self`. Bit-identical to [`HardwareModel::predict_seeded`] at any
+    /// thread count; a steady-state call clones nothing.
     ///
     /// Call [`ReplicaBank::invalidate`] after any mutation of `self`
     /// (fault management, drift, scrub, recalibration) so the next call
@@ -631,64 +571,59 @@ impl HardwareModel {
         let stochastic = self.method.is_bayesian();
         let passes = if stochastic { self.passes } else { 1 };
         let mut span = crate::span!("predict", engine = "par", passes = passes);
+        // Nothing to fan out: run the seeded loop inline (no clone, no
+        // merge). Same RNG schedule, reduction order, and trace bytes as
+        // the pooled path, so results stay bit-identical across thread
+        // counts.
         if passes == 1 || pool.threads() == 1 {
-            return self.mc_inline_par(inputs, seed, passes, stochastic, &mut span);
+            return self.seeded_passes(inputs, seed, passes, stochastic, &mut span);
         }
         let workers = pool.threads().min(passes);
         bank.ensure(self, workers);
-        let pred = crate::pool::mc_predict_par_on(
+        let pred = crate::pool::mc_predict_par(
             pool,
             passes,
             seed,
             &mut bank.replicas,
             |rep: &mut Replica, _, rng| rep.model.forward_planned(inputs, stochastic, rng).clone(),
         );
-        // Resync: fold each replica's delta since its last sync into
-        // the live model through the one shared merge path, then
-        // refresh the bases so the next sync starts clean.
+        // Resync: fold each replica's counter delta since its last sync
+        // and its margin accumulators into the live model, then reset
+        // both. Replica margins are zeroed at every clone and sync, so
+        // the sums are exact per-replica totals and warm and freshly
+        // cloned banks merge bit-identically (the checkpoint/restore
+        // battery holds this at any thread count).
         let counter_delta = OpCounter::merged(
             bank.replicas.iter().map(|r| r.model.raw_counter().since(&r.counter_base)),
         );
-        let mut margin_deltas: Vec<(f64, u64)> = Vec::new();
-        for rep in &bank.replicas {
-            let after = rep.model.crossbar_margins();
-            if margin_deltas.is_empty() {
-                margin_deltas = vec![(0.0, 0); after.len()];
+        let mut margin_sums = vec![(0.0f64, 0u64); self.crossbar_margins().len()];
+        for rep in &mut bank.replicas {
+            for (sum, part) in margin_sums.iter_mut().zip(rep.model.crossbar_margins()) {
+                sum.0 += part.0;
+                sum.1 += part.1;
             }
-            for (delta, (a, b)) in
-                margin_deltas.iter_mut().zip(after.into_iter().zip(&rep.margin_base))
-            {
-                delta.0 += a.0 - b.0;
-                delta.1 += a.1 - b.1;
-            }
+            rep.model.reset_sense_margins();
+            rep.counter_base = rep.model.raw_counter();
         }
         self.extra.merge(&counter_delta);
-        self.merge_crossbar_margins(&margin_deltas);
-        for rep in &mut bank.replicas {
-            rep.counter_base = rep.model.raw_counter();
-            // Zero the replica's margin accumulators so the next op's
-            // delta is again an exact zero-based sum — warm and
-            // freshly-cloned banks must produce bit-identical merges
-            // (the checkpoint/restore battery holds this at any
-            // thread count).
-            rep.model.reset_sense_margins();
-            rep.margin_base = rep.model.crossbar_margins();
-        }
+        self.merge_crossbar_margins(&margin_sums);
         bank.syncs += 1;
         if crate::telemetry::metrics_enabled() {
             crate::telemetry::counter("replica_syncs_total").inc();
         }
+        // Field only: replica-side block spans already fed the rollup.
         span.record("ops", counter_delta.to_json());
         span.record("energy_j", self.energy_model.energy_of(&counter_delta).0);
         pred
     }
 
-    /// The short-circuit body shared by the parallel engines when there
-    /// is nothing to fan out (`passes == 1` or a single-thread pool):
-    /// the planned sequential loop, but with the softmax inside each
-    /// `mc_pass` span — exactly where the pooled workers put it — so
-    /// the emitted trace byte-compares with every other thread count.
-    fn mc_inline_par(
+    /// The seeded sequential loop behind [`HardwareModel::predict_seeded`]
+    /// and the unpooled branch of [`HardwareModel::predict_par_in`]:
+    /// pass `t` runs on the `pass_seeds(seed, passes)[t]` stream with
+    /// its softmax inside the `mc_pass` span — exactly where the pooled
+    /// workers put it — so the emitted trace byte-compares with every
+    /// thread count. Records the ops and energy of all passes on `span`.
+    fn seeded_passes(
         &mut self,
         inputs: &Tensor,
         seed: u64,
@@ -787,22 +722,6 @@ impl HardwareModel {
             }
         }
         total
-    }
-
-    /// Uncertainty-gated prediction: like [`HardwareModel::predict`],
-    /// but samples whose predictive entropy exceeds `abstain_entropy`
-    /// are abstained instead of silently answered — the graceful-
-    /// degradation exit of the fault-management loop. Calibrate the
-    /// threshold with [`HardwareModel::calibrate_abstention`].
-    pub fn predict_gated(
-        &mut self,
-        inputs: &Tensor,
-        abstain_entropy: f64,
-        rng: &mut StdRng,
-    ) -> (Predictive, Gated) {
-        let pred = self.predict(inputs, rng);
-        let gated = pred.gate(abstain_entropy);
-        (pred, gated)
     }
 
     /// Calibrates the abstention threshold on held-out inputs: runs one
@@ -932,18 +851,6 @@ impl HardwareModel {
                 _ => {}
             }
         }
-    }
-
-    /// Deterministic (1-pass, stochastic units off) prediction through
-    /// the planned zero-allocation path.
-    pub fn predict_deterministic(&mut self, inputs: &Tensor, rng: &mut StdRng) -> Predictive {
-        let mut acc = McAccumulator::new();
-        let mut probs = std::mem::take(&mut self.probs);
-        let logits = self.forward_planned(inputs, false, rng);
-        softmax_into(logits, &mut probs);
-        acc.push(&probs);
-        self.probs = probs;
-        acc.finish()
     }
 
     fn raw_counter(&self) -> OpCounter {
@@ -1216,14 +1123,13 @@ impl HardwareModel {
     }
 }
 
-/// Persistent per-worker model replicas for
-/// [`HardwareModel::predict_par_in`]: cloned from the serving model
-/// once at attach time (or after [`ReplicaBank::invalidate`]) and
-/// reused across calls, so steady-state parallel prediction spawns no
-/// per-call clones. Each replica tracks the op-counter and sense-margin
-/// baseline of its last sync; deltas beyond the baseline are folded
-/// back into the live model through the same merge path
-/// [`HardwareModel::predict_par`] uses.
+/// Per-worker model replicas for [`HardwareModel::predict_par_in`]:
+/// cloned from the serving model on the calling thread at attach time
+/// (or after [`ReplicaBank::invalidate`]) and reused across calls, so
+/// steady-state parallel prediction clones nothing.
+/// [`HardwareModel::predict_par`] runs on a fresh bank per call. Each
+/// replica tracks the op-counter baseline of its last sync and keeps
+/// its sense-margin accumulators zeroed between syncs.
 #[derive(Debug, Default)]
 pub struct ReplicaBank {
     replicas: Vec<Replica>,
@@ -1234,7 +1140,6 @@ pub struct ReplicaBank {
 struct Replica {
     model: HardwareModel,
     counter_base: OpCounter,
-    margin_base: Vec<(f64, u64)>,
 }
 
 impl ReplicaBank {
@@ -1270,8 +1175,13 @@ impl ReplicaBank {
     /// already attached. A replica's counter baseline starts at `src`'s
     /// current tally (a clone carries it), so the first sync reports
     /// only ops the replicas themselves performed; margin accumulators
-    /// are zeroed so every sync's delta is an exact zero-based sum
+    /// are zeroed so every sync folds an exact zero-based sum
     /// (bit-identical whether the bank is warm or freshly cloned).
+    ///
+    /// The clones are made here, on the calling thread, not on the
+    /// short-lived pool workers: a model cloned on a worker lands in
+    /// that thread's malloc arena, which keeps the pages resident after
+    /// the clone is dropped.
     fn ensure(&mut self, src: &HardwareModel, workers: usize) {
         if self.replicas.len() == workers {
             return;
@@ -1280,9 +1190,7 @@ impl ReplicaBank {
         self.replicas.extend((0..workers).map(|_| {
             let mut model = src.clone();
             model.reset_sense_margins();
-            let counter_base = src.raw_counter();
-            let margin_base = model.crossbar_margins();
-            Replica { model, counter_base, margin_base }
+            Replica { model, counter_base: src.raw_counter() }
         }));
     }
 }

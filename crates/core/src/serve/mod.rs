@@ -455,7 +455,7 @@ pub fn serve(fleet: DieFleet, config: ServeConfig) -> std::io::Result<ServerHand
             let state = &loop_state;
             pool.run_chunked(
                 jobs,
-                |_w| (),
+                &mut vec![(); jobs],
                 |(), t| {
                     if t == 0 {
                         run_acceptor(state);

@@ -131,10 +131,9 @@ fn generic_engine_matches_seeded_sequential_on_a_crossbar_classifier() {
     let reference = mc_predict_seeded(8, 99, |_, rng| forward(&mut seq_xbar, rng));
     for threads in [1usize, 2, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let (pred, workers) =
-            mc_predict_par(&pool, 8, 99, |_| xbar.clone(), |xb, _, rng| forward(xb, rng));
+        let mut workers = vec![xbar.clone(); threads];
+        let pred = mc_predict_par(&pool, 8, 99, &mut workers, |xb, _, rng| forward(xb, rng));
         assert_eq!(pred, reference, "{threads} threads");
-        assert!(!workers.is_empty());
     }
 }
 
@@ -144,23 +143,36 @@ fn traced_predict_par_is_byte_identical_across_worker_counts() {
     // never consumes RNG draws) and the serialized JSONL trace must
     // byte-compare across pool sizes (per-thread buffers are merged in
     // pass order; trace events carry no wall-clock fields).
-    let _guard = neuspin::core::telemetry::test_lock();
+    use neuspin::core::telemetry;
+    let _guard = telemetry::test_lock();
     let mut hw = e2e_model();
     let x = inputs(6, 0);
     let untraced = hw.predict_par(&x, 0xD15E, &ThreadPool::new(2));
+    let traced = |hw: &mut HardwareModel, predict: &dyn Fn(&mut HardwareModel) -> _| {
+        telemetry::set_enabled(true, true);
+        telemetry::reset();
+        let pred = predict(hw);
+        let events = telemetry::take_trace();
+        telemetry::set_enabled(false, false);
+        assert!(!events.is_empty(), "trace must capture the MC passes");
+        (pred, telemetry::trace_to_jsonl(&events))
+    };
 
     let mut traces: Vec<String> = Vec::new();
     for threads in [1usize, 2, 4] {
-        neuspin::core::telemetry::set_enabled(true, true);
-        neuspin::core::telemetry::reset();
-        let pred = hw.predict_par(&x, 0xD15E, &ThreadPool::new(threads));
-        let events = neuspin::core::telemetry::take_trace();
-        neuspin::core::telemetry::set_enabled(false, false);
+        let pool = ThreadPool::new(threads);
+        let (pred, trace) = traced(&mut hw, &|hw| hw.predict_par(&x, 0xD15E, &pool));
         assert_eq!(pred, untraced, "{threads} threads, traced vs untraced");
-        assert!(!events.is_empty(), "trace must capture the MC passes");
-        traces.push(neuspin::core::telemetry::trace_to_jsonl(&events));
+        traces.push(trace);
     }
     assert_eq!(traces[0], traces[1], "trace bytes, 1 vs 2 workers");
     assert_eq!(traces[0], traces[2], "trace bytes, 1 vs 4 workers");
     assert!(traces[0].contains("\"span\":\"mc_pass\""));
+
+    // predict_seeded runs the same seeded loop as the 1-worker pool:
+    // its trace differs only in the engine tag of the predict span.
+    let (pred, seq) = traced(&mut hw, &|hw| hw.predict_seeded(&x, 0xD15E));
+    assert_eq!(pred, untraced, "predict_seeded vs predict_par");
+    let seq = seq.replace("\"engine\":\"seq\"", "\"engine\":\"par\"");
+    assert_eq!(seq, traces[0], "trace bytes, predict_seeded vs 1-worker predict_par");
 }

@@ -35,6 +35,12 @@ NEUSPIN_THREADS=4 cargo test -q --offline
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Rustdoc runs strict too: a doc link to a deleted or private item
+# (a removed kernel, a private constant) fails here instead of rotting
+# silently in the rendered docs.
+echo "==> cargo doc --workspace --no-deps --offline (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Fault-management campaign smoke: a tiny grid end to end, then re-parse
 # the emitted JSON and fail on schema drift or any non-finite value.
 # Smoke output goes under target/ so the tracked full-run artifact in

@@ -16,18 +16,20 @@
 //! measuring a zero floor must keep the window single-threaded.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Pass-through [`System`] allocator that counts allocation events
 /// (alloc, alloc_zeroed, and growth reallocs) while armed.
 pub struct CountingAllocator;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Open [`count_allocs`] windows on any thread; counting is armed while
+/// it is non-zero.
+static OPEN_WINDOWS: AtomicUsize = AtomicUsize::new(0);
 
 #[inline]
 fn tally() {
-    if COUNTING.load(Ordering::Relaxed) {
+    if OPEN_WINDOWS.load(Ordering::Relaxed) > 0 {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -61,15 +63,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Runs `f` with allocation counting armed and returns its result
 /// plus the number of allocation events observed during the call.
 ///
-/// Windows nest safely (the inner window leaves counting armed for
-/// the outer one), but counts are only exact while the window is
+/// Windows nest and overlap safely (counting stays armed while any
+/// window is open), but counts are only exact while the window is
 /// single-threaded — see the module docs.
 pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let was_counting = COUNTING.swap(true, Ordering::SeqCst);
+    OPEN_WINDOWS.fetch_add(1, Ordering::SeqCst);
     let before = ALLOC_EVENTS.load(Ordering::SeqCst);
     let out = f();
     let after = ALLOC_EVENTS.load(Ordering::SeqCst);
-    COUNTING.store(was_counting, Ordering::SeqCst);
+    OPEN_WINDOWS.fetch_sub(1, Ordering::SeqCst);
     (out, after - before)
 }
 
@@ -86,11 +88,23 @@ mod tests {
 
     #[test]
     fn counts_growth_reallocs() {
+        // A window opened earlier on another thread closes before the
+        // growth starts; it must not disarm this one.
+        let step = std::sync::Barrier::new(2);
         let mut v: Vec<u64> = Vec::with_capacity(4);
-        let (_, n) = count_allocs(|| {
-            for i in 0..1024u64 {
-                v.push(i);
-            }
+        let (_, n) = std::thread::scope(|s| {
+            s.spawn(|| {
+                count_allocs(|| (step.wait(), step.wait()));
+                step.wait();
+            });
+            step.wait();
+            count_allocs(|| {
+                step.wait();
+                step.wait();
+                for i in 0..1024u64 {
+                    v.push(i);
+                }
+            })
         });
         assert!(n >= 1, "growing 4 -> 1024 elements must register reallocs");
     }

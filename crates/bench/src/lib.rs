@@ -26,7 +26,6 @@ use neuspin_core::json::ToJson;
 use neuspin_data::digits::{dataset, DigitStyle};
 use neuspin_nn::{fit, refresh_norm_stats, Adam, Dataset, Sequential, TrainConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::path::PathBuf;
 
 pub mod allocs;
@@ -108,9 +107,9 @@ impl Setup {
         }
     }
 
-    /// Seeded RNG for stage `tag`.
+    /// Seeded RNG for stage `tag` ([`neuspin_core::rng::stream`]).
     pub fn rng(&self, tag: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed ^ (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        neuspin_core::rng::stream(self.seed, tag)
     }
 
     /// Generates the train/calib/test datasets.

@@ -25,19 +25,20 @@ use neuspin_device::{
 use rand::rngs::StdRng;
 
 /// Which evaluation kernel a [`Crossbar`] routes `matvec`/`matmul`
-/// through. See the module docs of [`crate::packed`] for the packed
-/// fast path and DESIGN.md for the selection rules.
+/// through. See the module docs of `packed` for the packed fast path
+/// and DESIGN.md for the selection rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Pick automatically: the bit-packed XNOR/popcount kernel when the
     /// tile is noiseless (no read noise, no IR drop), its weights are
-    /// ternary, and the call's inputs are ternary — the scalar
-    /// row-major kernel otherwise. All choices are bit-identical, so
-    /// this is purely a speed decision.
+    /// ternary, and the call's inputs are ternary — the batch
+    /// row-major kernel otherwise (per element, at `n = 1`, on a packed
+    /// tile). All choices are bit-identical, so this is purely a speed
+    /// decision.
     #[default]
     Auto,
-    /// Always the scalar row-major kernel (the PR-5 cache-friendly
-    /// rewrite) — the packed path's bit-identity counterpart.
+    /// Always the batch row-major kernel — the packed path's
+    /// bit-identity counterpart and the one float kernel of the array.
     Scalar,
     /// Always the retained seed kernel ([`Crossbar::matvec_reference`])
     /// — the golden oracle for equivalence tests and baselines.
@@ -212,6 +213,77 @@ impl CrossbarConfig {
     }
 }
 
+/// The column read-out every production kernel of both array types
+/// ends in: cycle-to-cycle read noise, the sense amplifier (whose
+/// running |margin| window the health monitor watches), and the
+/// optional column ADC. The seed oracle
+/// ([`Crossbar::matvec_reference`]) keeps its own copy so the
+/// differential batteries never check this code against itself.
+#[derive(Debug, Clone)]
+struct ColumnReadout {
+    read_noise: f64,
+    adc: Option<Adc>,
+    /// Running sense-margin statistics (|analog column value| at the
+    /// sense-amplifier input).
+    margin_sum: f64,
+    margin_count: u64,
+}
+
+impl ColumnReadout {
+    fn new(read_noise: f64, adc: Option<Adc>) -> Self {
+        Self { read_noise, adc, margin_sum: 0.0, margin_count: 0 }
+    }
+
+    /// Tallies `n` evaluations of a `cols`-column array with `active`
+    /// enabled rows.
+    fn tally(&self, ops: &mut OpCounter, n: usize, active: usize, cols: usize) {
+        ops.cell_reads += (n * active * cols) as u64;
+        ops.sa_evals += (n * cols) as u64;
+        if self.adc.is_some() {
+            ops.adc_converts += (n * cols) as u64;
+        }
+        ops.digital_ops += (n * cols) as u64;
+    }
+
+    /// Senses one column from its accumulated value `acc` and Σ term²
+    /// `power` (read noise is drawn only when `power > 0`): tallies the
+    /// margin window and any ADC saturation, returns the digitised value.
+    fn sense(&mut self, mut acc: f64, power: f64, ops: &mut OpCounter, rng: &mut StdRng) -> f64 {
+        if self.read_noise > 0.0 && power > 0.0 {
+            acc += self.read_noise * power.sqrt() * stats::ziggurat_normal(rng);
+        }
+        self.margin_sum += acc.abs();
+        self.margin_count += 1;
+        match &self.adc {
+            Some(adc) => {
+                if acc.abs() > adc.full_scale() {
+                    ops.adc_saturations += 1;
+                }
+                adc.quantize(acc)
+            }
+            None => acc,
+        }
+    }
+
+    fn mean_margin(&self) -> f64 {
+        if self.margin_count == 0 {
+            0.0
+        } else {
+            self.margin_sum / self.margin_count as f64
+        }
+    }
+
+    fn reset_margin(&mut self) {
+        self.margin_sum = 0.0;
+        self.margin_count = 0;
+    }
+
+    fn merge_margin(&mut self, sum: f64, count: u64) {
+        self.margin_sum += sum;
+        self.margin_count += count;
+    }
+}
+
 /// A binary-weight crossbar of differential XNOR bit-cells, `rows`
 /// inputs × `cols` outputs.
 ///
@@ -242,8 +314,7 @@ pub struct Crossbar {
     /// [`Crossbar::set_row_enabled`] and friends so the hot kernel never
     /// rescans the word lines).
     enabled_count: usize,
-    read_noise: f64,
-    adc: Option<Adc>,
+    readout: ColumnReadout,
     counter: OpCounter,
     defects: DefectMap,
     ir_drop: f64,
@@ -269,10 +340,6 @@ pub struct Crossbar {
     /// means identity. See [`Crossbar::apply_remap`].
     row_src: Option<Vec<usize>>,
     col_src: Option<Vec<usize>>,
-    /// Running sense-margin statistics (|analog column value| at the
-    /// sense-amplifier input), for the health monitor.
-    margin_sum: f64,
-    margin_count: u64,
     /// Column accumulator scratch (`[acc | power]`), reused across
     /// evaluations to keep the kernel allocation-free.
     scratch: Vec<f64>,
@@ -390,8 +457,7 @@ impl Crossbar {
             eff: vec![0.0; rows * cols],
             row_enabled: vec![true; rows],
             enabled_count: rows,
-            read_noise: config.read_noise,
-            adc,
+            readout: ColumnReadout::new(config.read_noise, adc),
             counter: OpCounter::new(),
             defects,
             ir_drop: config.ir_drop,
@@ -400,8 +466,6 @@ impl Crossbar {
             spares: spare_cols,
             row_src: None,
             col_src: None,
-            margin_sum: 0.0,
-            margin_count: 0,
             scratch: Vec::new(),
             row_scratch: Vec::new(),
             policy: KernelPolicy::Auto,
@@ -602,8 +666,9 @@ impl Crossbar {
             // `wd` is exactly `eff / ir_denom`, the value this read
             // historically computed inline.
             let mut term = self.wd[row * self.cols + j];
-            if self.read_noise > 0.0 && term != 0.0 {
-                term += self.read_noise * term.abs() * stats::ziggurat_normal(rng);
+            let noise = self.readout.read_noise;
+            if noise > 0.0 && term != 0.0 {
+                term += noise * term.abs() * stats::ziggurat_normal(rng);
             }
             *o = term;
         }
@@ -655,17 +720,12 @@ impl Crossbar {
     /// signal the runtime health monitor watches. Returns 0 before any
     /// evaluation.
     pub fn mean_sense_margin(&self) -> f64 {
-        if self.margin_count == 0 {
-            0.0
-        } else {
-            self.margin_sum / self.margin_count as f64
-        }
+        self.readout.mean_margin()
     }
 
     /// Starts a fresh sense-margin window.
     pub fn reset_sense_margin(&mut self) {
-        self.margin_sum = 0.0;
-        self.margin_count = 0;
+        self.readout.reset_margin();
     }
 
     /// The op counter accumulated so far.
@@ -722,31 +782,18 @@ impl Crossbar {
     ///
     /// Panics if `input.len() != rows`.
     pub fn matvec(&mut self, input: &[f32], rng: &mut StdRng) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.cols];
-        self.matvec_into(input, &mut out, rng);
-        out
+        self.matmul(input, 1, rng)
     }
 
-    /// [`Crossbar::matvec`] writing into a caller-provided buffer —
-    /// the zero-allocation entry point of the forward-plan execution
-    /// layer (and the batch path's per-row primitive). Dispatches on
-    /// the [`KernelPolicy`]; under `Auto` the packed XNOR/popcount
-    /// kernel serves noiseless ternary evaluations and the scalar
-    /// row-major kernel everything else — bit-identically either way.
+    /// [`Crossbar::matvec`] writing into a caller-provided buffer: the
+    /// batch entry point [`Crossbar::matmul_into`] at `n = 1`, so it
+    /// routes through the same [`KernelPolicy`] dispatch and kernels.
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != rows` or `out.len() != cols`.
     pub fn matvec_into(&mut self, input: &[f32], out: &mut [f64], rng: &mut StdRng) {
-        match self.policy {
-            KernelPolicy::Reference => self.matvec_reference_into(input, out, rng),
-            KernelPolicy::Scalar => self.matvec_scalar_into(input, out, rng),
-            KernelPolicy::Auto => {
-                if !(self.packed_ready() && self.matvec_packed_into(input, out)) {
-                    self.matvec_scalar_into(input, out, rng);
-                }
-            }
-        }
+        self.matmul_into(input, 1, out, rng);
     }
 
     /// Whether the packed plane is usable, lazily rebuilding it when the
@@ -755,7 +802,7 @@ impl Crossbar {
     /// whose weights are substantially non-ternary cache as unsupported
     /// until the next weight mutation.
     fn packed_ready(&mut self) -> bool {
-        if self.read_noise > 0.0 || self.ir_drop > 0.0 {
+        if self.readout.read_noise > 0.0 || self.ir_drop > 0.0 {
             return false;
         }
         if matches!(self.packed, PackedSlot::Stale) {
@@ -767,53 +814,30 @@ impl Crossbar {
         matches!(self.packed, PackedSlot::Ready(_))
     }
 
-    /// Attempts the bit-packed XNOR/popcount kernel. Returns `false`
-    /// without any side effect (no tallies, no margin, no output) when
-    /// the call's inputs are not ternary — the caller then falls back
-    /// to the scalar kernel. Only called with a `Ready` plane.
-    fn matvec_packed_into(&mut self, input: &[f32], out: &mut [f64]) -> bool {
-        assert_eq!(input.len(), self.rows, "input length mismatch");
-        assert_eq!(out.len(), self.cols, "output length mismatch");
-        // Move the plane out so the borrow checker lets the kernel read
-        // `self` freely; restored before returning.
-        let PackedSlot::Ready(mut plane) = std::mem::replace(&mut self.packed, PackedSlot::Stale)
-        else {
-            unreachable!("matvec_packed_into requires a ready plane")
-        };
-        let served = self.matvec_packed_with(&mut plane, input, out);
-        self.packed = PackedSlot::Ready(plane);
-        served
-    }
-
-    /// The packed kernel body: pack the input through remap + gating,
-    /// popcount the packable columns, walk the few non-ternary columns
-    /// in reference row order, then finalize every column in ascending
-    /// physical order exactly like the scalar kernels (margin tally,
-    /// ADC). No RNG is touched: the packed path only runs on noiseless
-    /// tiles, where the scalar kernels draw nothing either — downstream
-    /// RNG streams stay aligned across kernel choices.
-    fn matvec_packed_with(
+    /// The bit-packed XNOR/popcount kernel for one evaluation: pack the
+    /// input through remap + gating, popcount the packable columns, walk
+    /// the few non-ternary columns in reference row order, and sense
+    /// each column in ascending physical order through the shared
+    /// read-out with Σ term² = 0, so `rng` is never drawn from (the
+    /// tile is noiseless; the scalar kernel draws nothing there either).
+    /// Returns `false` without any side effect (no tallies, no margin,
+    /// no output) when the input is not ternary.
+    fn matvec_packed(
         &mut self,
         plane: &mut PackedPlane,
         input: &[f32],
         out: &mut [f64],
+        rng: &mut StdRng,
     ) -> bool {
         if !plane.pack_input(input, self.row_src.as_deref(), &self.row_enabled) {
             return false;
         }
         let cols = self.cols;
-        self.counter.cell_reads += self.enabled_count as u64 * cols as u64;
-        self.counter.sa_evals += cols as u64;
-        if self.adc.is_some() {
-            self.counter.adc_converts += cols as u64;
-        }
-        self.counter.digital_ops += cols as u64;
+        self.readout.tally(&mut self.counter, 1, self.enabled_count, cols);
         self.packed_calls += 1;
-        self.scratch.clear();
-        self.scratch.resize(cols, 0.0);
-        let row_src = self.row_src.as_deref();
+        let (row_src, col_src) = (self.row_src.as_deref(), self.col_src.as_deref());
         for pj in 0..cols {
-            self.scratch[pj] = if plane.col_is_packed(pj) {
+            let acc = if plane.col_is_packed(pj) {
                 // Exact integer accumulation: order-independent, so the
                 // whole-word popcount matches the scalar kernels'
                 // ascending-row float sum bit for bit.
@@ -831,89 +855,17 @@ impl Crossbar {
                 }
                 acc
             };
-        }
-        let col_src = self.col_src.as_deref();
-        for pj in 0..cols {
-            let a = self.scratch[pj];
-            self.margin_sum += a.abs();
-            self.margin_count += 1;
-            out[col_src.map_or(pj, |m| m[pj])] = match &self.adc {
-                Some(adc) => {
-                    if a.abs() > adc.full_scale() {
-                        self.counter.adc_saturations += 1;
-                    }
-                    adc.quantize(a)
-                }
-                None => a,
-            };
+            out[col_src.map_or(pj, |m| m[pj])] =
+                self.readout.sense(acc, 0.0, &mut self.counter, rng);
         }
         true
-    }
-
-    /// The scalar row-major kernel (the PR-5 cache-friendly rewrite):
-    /// handles every configuration — noise, IR drop, analog weights —
-    /// bit-identically to [`Crossbar::matvec_reference`].
-    fn matvec_scalar_into(&mut self, input: &[f32], out: &mut [f64], rng: &mut StdRng) {
-        assert_eq!(input.len(), self.rows, "input length mismatch");
-        assert_eq!(out.len(), self.cols, "output length mismatch");
-        let cols = self.cols;
-        self.counter.cell_reads += self.enabled_count as u64 * cols as u64;
-        self.counter.sa_evals += cols as u64;
-        if self.adc.is_some() {
-            self.counter.adc_converts += cols as u64;
-        }
-        self.counter.digital_ops += cols as u64;
-        // Row-outer / column-inner accumulation: each enabled physical
-        // row streams its contiguous folded-weight (`wd`) slice
-        // into per-column accumulators, so every column's partial sums
-        // still arrive in ascending-`p` order — the same order (hence
-        // the same floating-point bits) as the column-outer seed kernel.
-        self.scratch.clear();
-        self.scratch.resize(2 * cols, 0.0);
-        let (acc, power) = self.scratch.split_at_mut(cols);
-        let row_src = self.row_src.as_deref();
-        for p in 0..self.rows {
-            let l = row_src.map_or(p, |m| m[p]);
-            if !self.row_enabled[l] {
-                continue;
-            }
-            let x = input[l] as f64;
-            let wd_row = &self.wd[p * cols..(p + 1) * cols];
-            for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
-                let term = x * w; // IR denominator pre-folded into `wd`
-                *a += term;
-                *pw += term * term; // Σ term² for the noise model
-            }
-        }
-        // Finalize columns in physical order — noise draws, margin
-        // tallies, and ADC conversions keep the seed kernel's per-column
-        // sequence — scattering through any column remap straight into
-        // the logical output slot.
-        let col_src = self.col_src.as_deref();
-        for (pj, (&a, &pw)) in acc.iter().zip(power.iter()).enumerate() {
-            let mut a = a;
-            if self.read_noise > 0.0 && pw > 0.0 {
-                a += self.read_noise * pw.sqrt() * stats::ziggurat_normal(rng);
-            }
-            self.margin_sum += a.abs();
-            self.margin_count += 1;
-            out[col_src.map_or(pj, |m| m[pj])] = match &self.adc {
-                Some(adc) => {
-                    if a.abs() > adc.full_scale() {
-                        self.counter.adc_saturations += 1;
-                    }
-                    adc.quantize(a)
-                }
-                None => a,
-            };
-        }
     }
 
     /// The retained seed kernel (column-outer, fresh enabled-row scan)
     /// — the bit-exact baseline the row-major [`Crossbar::matvec`] is
     /// verified against, and the "before" side of the `exp_throughput`
     /// kernel comparison. Reads the same folded weight table
-    /// ([`Crossbar::wd`]) as the production kernels: folding the IR
+    /// (`Crossbar::wd`) as the production kernels: folding the IR
     /// denominator is a rounding change, so the baseline folds too and
     /// the differential batteries keep their bit-exact teeth on
     /// traversal order, remap routing, noise, and ADC behaviour.
@@ -929,7 +881,7 @@ impl Crossbar {
         let active = self.row_enabled.iter().filter(|&&e| e).count() as u64;
         self.counter.cell_reads += active * self.cols as u64;
         self.counter.sa_evals += self.cols as u64;
-        if self.adc.is_some() {
+        if self.readout.adc.is_some() {
             self.counter.adc_converts += self.cols as u64;
         }
         self.counter.digital_ops += self.cols as u64;
@@ -952,12 +904,12 @@ impl Crossbar {
                 acc += term;
                 power += term * term;
             }
-            if self.read_noise > 0.0 && power > 0.0 {
-                acc += self.read_noise * power.sqrt() * stats::ziggurat_normal(rng);
+            if self.readout.read_noise > 0.0 && power > 0.0 {
+                acc += self.readout.read_noise * power.sqrt() * stats::ziggurat_normal(rng);
             }
-            self.margin_sum += acc.abs();
-            self.margin_count += 1;
-            self.scratch[pj] = match &self.adc {
+            self.readout.margin_sum += acc.abs();
+            self.readout.margin_count += 1;
+            self.scratch[pj] = match &self.readout.adc {
                 Some(adc) => {
                     if acc.abs() > adc.full_scale() {
                         self.counter.adc_saturations += 1;
@@ -1011,14 +963,13 @@ impl Crossbar {
     /// Raw sense-margin accumulator `(sum, count)` — lets the parallel
     /// inference engine snapshot and merge worker-clone statistics.
     pub fn sense_margin_parts(&self) -> (f64, u64) {
-        (self.margin_sum, self.margin_count)
+        (self.readout.margin_sum, self.readout.margin_count)
     }
 
     /// Folds externally accumulated sense-margin statistics (a worker
     /// clone's delta) into this crossbar's running window.
     pub fn merge_sense_margin(&mut self, sum: f64, count: u64) {
-        self.margin_sum += sum;
-        self.margin_count += count;
+        self.readout.merge_margin(sum, count);
     }
 
     /// Applies an in-field drift transform to every cell's effective
@@ -1152,18 +1103,17 @@ impl Crossbar {
     /// Batch version of [`matvec`](Self::matvec): input matrix
     /// `[n, rows]` flattened row-major, returns `[n, cols]` flattened.
     ///
-    /// Dispatches on the same [`KernelPolicy`] as the per-call path, so
-    /// the batch is always bit-identical to `n` sequential `matvec`
-    /// calls — output, counters, margins, and RNG stream alike:
+    /// The one [`KernelPolicy`] dispatch of the array (`matvec` is this
+    /// call at `n = 1`); the batch is bit-identical to `n` sequential
+    /// `matvec` calls — output, counters, margins, and RNG stream alike:
     ///
-    /// * `Reference` loops the seed kernel per batch element (what a
-    ///   sequence of `matvec` calls does under that policy);
-    /// * `Auto` on an eligible packed tile dispatches per element —
-    ///   packed for ternary inputs, scalar for the rest — exactly
-    ///   mirroring the per-call selection;
-    /// * otherwise the scalar row-major kernel runs with the per-call
-    ///   bookkeeping hoisted out of the batch loop (row indirection
-    ///   resolved once, scratch sized once, op counts tallied in bulk).
+    /// * `Reference` loops the seed kernel per batch element;
+    /// * `Auto` on an eligible packed tile chooses per element — packed
+    ///   for ternary inputs, the row-major kernel at `n = 1` for the
+    ///   rest;
+    /// * otherwise the row-major kernel runs the whole batch with its
+    ///   bookkeeping hoisted out of the loop (row indirection resolved
+    ///   once, scratch sized once, op counts tallied in bulk).
     pub fn matmul(&mut self, inputs: &[f32], n: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut out = vec![0.0f64; n * self.cols];
         self.matmul_into(inputs, n, &mut out, rng);
@@ -1192,28 +1142,41 @@ impl Crossbar {
                 }
             }
             KernelPolicy::Auto if self.packed_ready() => {
+                // Move the plane out so the kernels can borrow `self`
+                // freely; restored after the batch.
+                let PackedSlot::Ready(mut plane) =
+                    std::mem::replace(&mut self.packed, PackedSlot::Stale)
+                else {
+                    unreachable!("packed_ready guarantees a ready plane")
+                };
                 for (input, chunk) in
                     inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(self.cols))
                 {
-                    if !self.matvec_packed_into(input, chunk) {
-                        self.matvec_scalar_into(input, chunk, rng);
+                    if !self.matvec_packed(&mut plane, input, chunk, rng) {
+                        self.matmul_scalar_into(input, 1, chunk, rng);
                     }
                 }
+                self.packed = PackedSlot::Ready(plane);
             }
             _ => self.matmul_scalar_into(inputs, n, out, rng),
         }
     }
 
-    /// The hoisted scalar batch kernel (see [`Crossbar::matmul`]).
+    /// The row-major kernel: handles every configuration — noise, IR
+    /// drop, analog weights — bit-identically to
+    /// [`Crossbar::matvec_reference`] (see [`Crossbar::matmul`]).
     fn matmul_scalar_into(&mut self, inputs: &[f32], n: usize, out: &mut [f64], rng: &mut StdRng) {
         let cols = self.cols;
         // The gate pattern and remap are fixed across the batch:
         // resolve each enabled physical row to its logical input index
-        // once (ascending physical order, as the per-call kernel walks)
+        // once (ascending physical order, as the seed kernel walks)
         // into the reusable row scratch — taken out of `self` for the
         // duration so the borrow checker allows field access alongside.
         let mut active = std::mem::take(&mut self.row_scratch);
         active.clear();
+        // `filter_map` gives `extend` no size hint: size the list in one
+        // allocation rather than by repeated doubling.
+        active.reserve(self.enabled_count);
         {
             let row_src = self.row_src.as_deref();
             active.extend((0..self.rows).filter_map(|p| {
@@ -1221,18 +1184,19 @@ impl Crossbar {
                 self.row_enabled[l].then_some((p, l))
             }));
         }
-        self.counter.cell_reads += (n * self.enabled_count * cols) as u64;
-        self.counter.sa_evals += (n * cols) as u64;
-        if self.adc.is_some() {
-            self.counter.adc_converts += (n * cols) as u64;
-        }
-        self.counter.digital_ops += (n * cols) as u64;
+        self.readout.tally(&mut self.counter, n, self.enabled_count, cols);
         self.scratch.clear();
         self.scratch.resize(2 * cols, 0.0);
         let col_src = self.col_src.as_deref();
         for (input, chunk) in
             inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(cols))
         {
+            // Row-outer / column-inner accumulation: each enabled
+            // physical row streams its contiguous folded-weight (`wd`)
+            // slice into per-column accumulators, so every column's
+            // partial sums still arrive in ascending-`p` order — the
+            // same order (hence the same bits) as the column-outer seed
+            // kernel.
             let (acc, power) = self.scratch.split_at_mut(cols);
             acc.fill(0.0);
             power.fill(0.0);
@@ -1242,25 +1206,15 @@ impl Crossbar {
                 for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
                     let term = x * w; // IR denominator pre-folded into `wd`
                     *a += term;
-                    *pw += term * term;
+                    *pw += term * term; // Σ term² for the noise model
                 }
             }
+            // Sense columns in physical order — the seed kernel's
+            // per-column noise/margin/ADC sequence — scattering through
+            // any column remap straight into the logical output slot.
             for (pj, (&a, &pw)) in acc.iter().zip(power.iter()).enumerate() {
-                let mut a = a;
-                if self.read_noise > 0.0 && pw > 0.0 {
-                    a += self.read_noise * pw.sqrt() * stats::ziggurat_normal(rng);
-                }
-                self.margin_sum += a.abs();
-                self.margin_count += 1;
-                chunk[col_src.map_or(pj, |m| m[pj])] = match &self.adc {
-                    Some(adc) => {
-                        if a.abs() > adc.full_scale() {
-                            self.counter.adc_saturations += 1;
-                        }
-                        adc.quantize(a)
-                    }
-                    None => a,
-                };
+                chunk[col_src.map_or(pj, |m| m[pj])] =
+                    self.readout.sense(a, pw, &mut self.counter, rng);
             }
         }
         self.row_scratch = active;
@@ -1325,8 +1279,8 @@ impl Crossbar {
                 .collect(),
             row_src: self.row_src.clone(),
             col_src: self.col_src.clone(),
-            margin_sum: self.margin_sum,
-            margin_count: self.margin_count,
+            margin_sum: self.readout.margin_sum,
+            margin_count: self.readout.margin_count,
             packed_calls: self.packed_calls,
             aging: self.aging.as_deref().map(|hook| AgingHookState {
                 aging: hook.state.snapshot(),
@@ -1383,8 +1337,8 @@ impl Crossbar {
         }
         self.row_src = state.row_src.clone();
         self.col_src = state.col_src.clone();
-        self.margin_sum = state.margin_sum;
-        self.margin_count = state.margin_count;
+        self.readout.margin_sum = state.margin_sum;
+        self.readout.margin_count = state.margin_count;
         self.packed_calls = state.packed_calls;
         match (self.aging.as_deref_mut(), &state.aging) {
             (Some(hook), Some(s)) => {
@@ -1425,11 +1379,8 @@ pub struct MlcCrossbar {
     eff: Vec<f64>,
     levels: usize,
     row_enabled: Vec<bool>,
-    read_noise: f64,
-    adc: Option<Adc>,
+    readout: ColumnReadout,
     counter: OpCounter,
-    margin_sum: f64,
-    margin_count: u64,
     /// Column accumulator scratch (`[acc | power]`), reused across
     /// evaluations to keep the kernel allocation-free.
     scratch: Vec<f64>,
@@ -1470,11 +1421,8 @@ impl MlcCrossbar {
             eff,
             levels: k + 1,
             row_enabled: vec![true; rows],
-            read_noise: config.read_noise,
-            adc,
+            readout: ColumnReadout::new(config.read_noise, adc),
             counter,
-            margin_sum: 0.0,
-            margin_count: 0,
             scratch: Vec::new(),
         }
     }
@@ -1483,17 +1431,12 @@ impl MlcCrossbar {
     /// last [`MlcCrossbar::reset_sense_margin`] (see
     /// [`Crossbar::mean_sense_margin`]).
     pub fn mean_sense_margin(&self) -> f64 {
-        if self.margin_count == 0 {
-            0.0
-        } else {
-            self.margin_sum / self.margin_count as f64
-        }
+        self.readout.mean_margin()
     }
 
     /// Starts a fresh sense-margin window.
     pub fn reset_sense_margin(&mut self) {
-        self.margin_sum = 0.0;
-        self.margin_count = 0;
+        self.readout.reset_margin();
     }
 
     /// Number of input rows.
@@ -1567,13 +1510,8 @@ impl MlcCrossbar {
     pub fn matvec_into(&mut self, input: &[f32], out: &mut [f64], rng: &mut StdRng) {
         assert_eq!(input.len(), self.rows, "input length mismatch");
         assert_eq!(out.len(), self.cols, "output length mismatch");
-        let active = self.row_enabled.iter().filter(|&&e| e).count() as u64;
-        self.counter.cell_reads += active * self.cols as u64;
-        self.counter.sa_evals += self.cols as u64;
-        if self.adc.is_some() {
-            self.counter.adc_converts += self.cols as u64;
-        }
-        self.counter.digital_ops += self.cols as u64;
+        let active = self.row_enabled.iter().filter(|&&e| e).count();
+        self.readout.tally(&mut self.counter, 1, active, self.cols);
         // Row-outer / column-inner over contiguous `eff` rows; partial
         // sums reach each column in ascending-row order, matching the
         // column-outer formulation bit for bit.
@@ -1594,21 +1532,7 @@ impl MlcCrossbar {
             }
         }
         for ((o, &a), &pw) in out.iter_mut().zip(acc.iter()).zip(power.iter()) {
-            let mut a = a;
-            if self.read_noise > 0.0 && pw > 0.0 {
-                a += self.read_noise * pw.sqrt() * stats::ziggurat_normal(rng);
-            }
-            self.margin_sum += a.abs();
-            self.margin_count += 1;
-            *o = match &self.adc {
-                Some(adc) => {
-                    if a.abs() > adc.full_scale() {
-                        self.counter.adc_saturations += 1;
-                    }
-                    adc.quantize(a)
-                }
-                None => a,
-            };
+            *o = self.readout.sense(a, pw, &mut self.counter, rng);
         }
     }
 
@@ -1621,14 +1545,13 @@ impl MlcCrossbar {
     /// Raw sense-margin accumulator `(sum, count)` (see
     /// [`Crossbar::sense_margin_parts`]).
     pub fn sense_margin_parts(&self) -> (f64, u64) {
-        (self.margin_sum, self.margin_count)
+        (self.readout.margin_sum, self.readout.margin_count)
     }
 
     /// Folds externally accumulated sense-margin statistics into this
     /// crossbar (see [`Crossbar::merge_sense_margin`]).
     pub fn merge_sense_margin(&mut self, sum: f64, count: u64) {
-        self.margin_sum += sum;
-        self.margin_count += count;
+        self.readout.merge_margin(sum, count);
     }
 
     /// Captures the complete mutable state of this array for a die
@@ -1638,8 +1561,8 @@ impl MlcCrossbar {
             eff: self.eff.clone(),
             row_enabled: self.row_enabled.clone(),
             counter: self.counter,
-            margin_sum: self.margin_sum,
-            margin_count: self.margin_count,
+            margin_sum: self.readout.margin_sum,
+            margin_count: self.readout.margin_count,
         }
     }
 
@@ -1656,8 +1579,8 @@ impl MlcCrossbar {
         self.eff.copy_from_slice(&state.eff);
         self.row_enabled.copy_from_slice(&state.row_enabled);
         self.counter = state.counter;
-        self.margin_sum = state.margin_sum;
-        self.margin_count = state.margin_count;
+        self.readout.margin_sum = state.margin_sum;
+        self.readout.margin_count = state.margin_count;
     }
 }
 
@@ -2155,6 +2078,41 @@ mod tests {
         assert_eq!(sa.to_bits(), sb.to_bits());
         assert_eq!(ca, cb);
         assert!(b.scratch_bytes() > 0);
+
+        // The MLC array has no reference kernel: pin each column to the
+        // read-out spelled out here from the stored weights — ascending
+        // sum over enabled rows, one ziggurat draw when Σ term² > 0,
+        // then the 6-bit ADC over ±rows·w_max.
+        b.reset_sense_margin();
+        let mut oracle_rng = rb.clone();
+        let adc = Adc::new(6, 8.0 * 1.0);
+        let (mut want, mut margin) = (Vec::new(), 0.0f64);
+        for j in 0..6 {
+            let (mut acc, mut power) = (0.0f64, 0.0f64);
+            for (i, &xi) in x.iter().enumerate().filter(|&(i, _)| i != 3) {
+                let term = xi as f64 * b.effective_weight(i, j);
+                acc += term;
+                power += term * term;
+            }
+            if power > 0.0 {
+                acc += 0.04 * power.sqrt() * stats::ziggurat_normal(&mut oracle_rng);
+            }
+            margin += acc.abs();
+            want.push(adc.quantize(acc));
+        }
+        let mut got = vec![f64::NAN; 6];
+        b.matvec_into(&x, &mut got, &mut rb);
+        for (j, (w, g)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(w.to_bits(), g.to_bits(), "mlc col {j}: oracle {w} vs kernel {g}");
+        }
+        let (sum, count) = b.sense_margin_parts();
+        assert_eq!(sum.to_bits(), margin.to_bits(), "oracle margin {margin} vs {sum}");
+        assert_eq!(count, 6);
+        assert_eq!(
+            stats::standard_normal(&mut oracle_rng).to_bits(),
+            stats::standard_normal(&mut rb).to_bits(),
+            "mlc kernel must draw once per column with signal"
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! where `active = Σ_k popcount(w_mask_k & x_act_k)` counts the cells
 //! that contribute a ±1 term at all. The result is bit-identical to the
 //! scalar kernels' ascending-row floating-point accumulation, so the
-//! packed path slots under the existing margin/ADC/energy stages
-//! unchanged (see `Crossbar::matvec_packed_with`).
+//! packed path feeds the shared column read-out (margin, ADC) and op
+//! tally unchanged (see `Crossbar::matvec_packed`).
 //!
 //! A [`PackedPlane`] is one crossbar's packed view of its effective
 //! weights in *physical* coordinates, rebuilt lazily whenever the

@@ -624,6 +624,25 @@ impl HwBlock {
         }
     }
 
+    /// The binary crossbar of a `Conv` or `Fc` block; `None` for every
+    /// other block (SpinBayes' MLC arrays included).
+    pub(crate) fn crossbar(&self) -> Option<&Crossbar> {
+        match self {
+            HwBlock::Conv(b) => Some(&b.xbar),
+            HwBlock::Fc(b) => Some(&b.xbar),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the binary crossbar (see [`HwBlock::crossbar`]).
+    pub(crate) fn crossbar_mut(&mut self) -> Option<&mut Crossbar> {
+        match self {
+            HwBlock::Conv(b) => Some(&mut b.xbar),
+            HwBlock::Fc(b) => Some(&mut b.xbar),
+            _ => None,
+        }
+    }
+
     /// A static label for telemetry span/trace annotations.
     pub(crate) fn kind(&self) -> &'static str {
         match self {

@@ -656,13 +656,10 @@ impl HardwareModel {
     fn crossbar_margins(&self) -> Vec<(f64, u64)> {
         let mut parts = Vec::new();
         for block in &self.blocks {
-            match block {
-                HwBlock::Conv(b) => parts.push(b.xbar.sense_margin_parts()),
-                HwBlock::Fc(b) => parts.push(b.xbar.sense_margin_parts()),
-                HwBlock::FcSpinBayes(b) => {
-                    parts.extend(b.xbars.iter().map(|xb| xb.sense_margin_parts()));
-                }
-                _ => {}
+            if let Some(xbar) = block.crossbar() {
+                parts.push(xbar.sense_margin_parts());
+            } else if let HwBlock::FcSpinBayes(b) = block {
+                parts.extend(b.xbars.iter().map(MlcCrossbar::sense_margin_parts));
             }
         }
         parts
@@ -674,22 +671,14 @@ impl HardwareModel {
         let mut it = deltas.iter();
         let mut next = || *it.next().expect("margin delta count mismatch");
         for block in &mut self.blocks {
-            match block {
-                HwBlock::Conv(b) => {
+            if let Some(xbar) = block.crossbar_mut() {
+                let (sum, count) = next();
+                xbar.merge_sense_margin(sum, count);
+            } else if let HwBlock::FcSpinBayes(b) = block {
+                for xb in &mut b.xbars {
                     let (sum, count) = next();
-                    b.xbar.merge_sense_margin(sum, count);
+                    xb.merge_sense_margin(sum, count);
                 }
-                HwBlock::Fc(b) => {
-                    let (sum, count) = next();
-                    b.xbar.merge_sense_margin(sum, count);
-                }
-                HwBlock::FcSpinBayes(b) => {
-                    for xb in &mut b.xbars {
-                        let (sum, count) = next();
-                        xb.merge_sense_margin(sum, count);
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -699,12 +688,8 @@ impl HardwareModel {
     /// bit-identical; `Auto` (the default) lets noiseless ternary tiles
     /// take the packed XNOR/popcount fast path.
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        for block in &mut self.blocks {
-            match block {
-                HwBlock::Conv(b) => b.xbar.set_kernel_policy(policy),
-                HwBlock::Fc(b) => b.xbar.set_kernel_policy(policy),
-                _ => {}
-            }
+        for xbar in self.blocks.iter_mut().filter_map(HwBlock::crossbar_mut) {
+            xbar.set_kernel_policy(policy);
         }
     }
 
@@ -713,15 +698,7 @@ impl HardwareModel {
     /// [`neuspin_cim::Crossbar::packed_calls`]). Worker clones do not
     /// merge this diagnostic, so assert engagement on sequential runs.
     pub fn packed_call_count(&self) -> u64 {
-        let mut total = 0;
-        for block in &self.blocks {
-            match block {
-                HwBlock::Conv(b) => total += b.xbar.packed_calls(),
-                HwBlock::Fc(b) => total += b.xbar.packed_calls(),
-                _ => {}
-            }
-        }
-        total
+        self.blocks.iter().filter_map(HwBlock::crossbar).map(Crossbar::packed_calls).sum()
     }
 
     /// Calibrates the abstention threshold on held-out inputs: runs one
@@ -791,17 +768,11 @@ impl HardwareModel {
     /// fleet: a healthy restore flags no more cells than the die's
     /// known fabricated defect population (plus estimator slack).
     pub fn bist_audit(&mut self, bist: &BistConfig, rng: &mut StdRng) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for block in self.blocks.iter_mut() {
-            let xbar: &mut Crossbar = match block {
-                HwBlock::Conv(b) => &mut b.xbar,
-                HwBlock::Fc(b) => &mut b.xbar,
-                _ => continue,
-            };
-            let report = march_test(xbar, bist, rng);
-            out.push((report.flagged(), xbar.defects().defect_count()));
-        }
-        out
+        self.blocks
+            .iter_mut()
+            .filter_map(HwBlock::crossbar_mut)
+            .map(|xbar| (march_test(xbar, bist, rng).flagged(), xbar.defects().defect_count()))
+            .collect()
     }
 
     /// Mean sense margin over every crossbar since the last
@@ -812,22 +783,14 @@ impl HardwareModel {
         let mut sum = 0.0;
         let mut n = 0usize;
         for block in &self.blocks {
-            match block {
-                HwBlock::Conv(b) => {
-                    sum += b.xbar.mean_sense_margin();
+            if let Some(xbar) = block.crossbar() {
+                sum += xbar.mean_sense_margin();
+                n += 1;
+            } else if let HwBlock::FcSpinBayes(b) = block {
+                for xb in &b.xbars {
+                    sum += xb.mean_sense_margin();
                     n += 1;
                 }
-                HwBlock::Fc(b) => {
-                    sum += b.xbar.mean_sense_margin();
-                    n += 1;
-                }
-                HwBlock::FcSpinBayes(b) => {
-                    for xb in &b.xbars {
-                        sum += xb.mean_sense_margin();
-                        n += 1;
-                    }
-                }
-                _ => {}
             }
         }
         if n == 0 {
@@ -840,15 +803,10 @@ impl HardwareModel {
     /// Starts a fresh sense-margin window on every crossbar.
     pub fn reset_sense_margins(&mut self) {
         for block in &mut self.blocks {
-            match block {
-                HwBlock::Conv(b) => b.xbar.reset_sense_margin(),
-                HwBlock::Fc(b) => b.xbar.reset_sense_margin(),
-                HwBlock::FcSpinBayes(b) => {
-                    for xb in &mut b.xbars {
-                        xb.reset_sense_margin();
-                    }
-                }
-                _ => {}
+            if let Some(xbar) = block.crossbar_mut() {
+                xbar.reset_sense_margin();
+            } else if let HwBlock::FcSpinBayes(b) = block {
+                b.xbars.iter_mut().for_each(MlcCrossbar::reset_sense_margin);
             }
         }
     }
@@ -912,26 +870,19 @@ impl HardwareModel {
     /// covers the binary SpinDrop family first.
     pub fn enable_aging(&mut self, config: &AgingConfig) {
         for (i, block) in self.blocks.iter_mut().enumerate() {
-            let xbar = match block {
-                HwBlock::Conv(b) => &mut b.xbar,
-                HwBlock::Fc(b) => &mut b.xbar,
-                _ => continue,
-            };
-            let layer = AgingConfig {
-                seed: config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..config.clone()
-            };
-            xbar.enable_aging(&layer);
+            if let Some(xbar) = block.crossbar_mut() {
+                // Mixing in the block index gives each layer its own stream.
+                xbar.enable_aging(&AgingConfig {
+                    seed: config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    ..config.clone()
+                });
+            }
         }
     }
 
     /// Whether [`HardwareModel::enable_aging`] has attached the engine.
     pub fn aging_enabled(&self) -> bool {
-        self.blocks.iter().any(|b| match b {
-            HwBlock::Conv(b) => b.xbar.aging_enabled(),
-            HwBlock::Fc(b) => b.xbar.aging_enabled(),
-            _ => false,
-        })
+        self.blocks.iter().filter_map(HwBlock::crossbar).any(Crossbar::aging_enabled)
     }
 
     /// Advances every aged crossbar's virtual clock by `dt_hours` (see
@@ -944,12 +895,7 @@ impl HardwareModel {
     pub fn advance_time(&mut self, dt_hours: f64) -> AgingReport {
         assert!(self.aging_enabled(), "advance_time requires enable_aging");
         let mut total = AgingReport::default();
-        for block in &mut self.blocks {
-            let xbar = match block {
-                HwBlock::Conv(b) => &mut b.xbar,
-                HwBlock::Fc(b) => &mut b.xbar,
-                _ => continue,
-            };
+        for xbar in self.blocks.iter_mut().filter_map(HwBlock::crossbar_mut) {
             total.merge(&xbar.advance_time(dt_hours));
         }
         total
@@ -965,16 +911,7 @@ impl HardwareModel {
     /// Panics if aging was never enabled.
     pub fn scrub(&mut self) -> usize {
         assert!(self.aging_enabled(), "scrub requires enable_aging");
-        let mut refreshed = 0;
-        for block in &mut self.blocks {
-            let xbar = match block {
-                HwBlock::Conv(b) => &mut b.xbar,
-                HwBlock::Fc(b) => &mut b.xbar,
-                _ => continue,
-            };
-            refreshed += xbar.scrub();
-        }
-        refreshed
+        self.blocks.iter_mut().filter_map(HwBlock::crossbar_mut).map(Crossbar::scrub).sum()
     }
 
     /// Captures the pipeline's complete mutable state (see
@@ -1020,15 +957,8 @@ impl HardwareModel {
     /// is tallied (radiation is free). Returns the number of cells
     /// actually flipped (defective targets are skipped, not redrawn).
     pub fn flip_stored_weight_bits(&mut self, flips: usize, seed: u64) -> usize {
-        let mut targets: Vec<&mut Crossbar> = self
-            .blocks
-            .iter_mut()
-            .filter_map(|b| match b {
-                HwBlock::Conv(b) => Some(&mut b.xbar),
-                HwBlock::Fc(b) => Some(&mut b.xbar),
-                _ => None,
-            })
-            .collect();
+        let mut targets: Vec<&mut Crossbar> =
+            self.blocks.iter_mut().filter_map(HwBlock::crossbar_mut).collect();
         if targets.is_empty() {
             return 0;
         }

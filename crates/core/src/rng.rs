@@ -16,8 +16,8 @@ pub use rand::{
 };
 
 /// Derives a deterministic per-stage generator from a master seed and a
-/// stage tag (the same derivation `neuspin_bench::Setup::rng` uses, so
-/// runtime and harness agree on stream identities).
+/// stage tag (`neuspin_bench::Setup::rng` calls this, so runtime and
+/// harness share one stream derivation).
 pub fn stream(master: u64, tag: u64) -> StdRng {
     StdRng::seed_from_u64(master ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

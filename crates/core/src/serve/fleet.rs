@@ -1,6 +1,6 @@
 //! A fleet of simulated dies behind one serving front door.
 //!
-//! Each [`Die`] wraps its own [`Supervisor`] — private aging clock,
+//! Each die wraps its own [`Supervisor`] — private aging clock,
 //! health monitor, recovery ladder, telemetry — behind a mutex, plus
 //! two lock-free caches the router reads on the hot path: the latched
 //! health tier and a served-samples counter. Routing is

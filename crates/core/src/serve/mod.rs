@@ -36,7 +36,7 @@
 //! *composition* depends on arrival timing, but a given `(die state,
 //! batch composition, batch index)` always produces bit-identical
 //! predictions — see DESIGN.md, "Serving and failover". Failover
-//! backoff jitter draws from its own tagged stream ([`TAG_BACKOFF`]),
+//! backoff jitter draws from its own tagged stream (`TAG_BACKOFF`),
 //! never from anything that feeds predictions, so injected retries
 //! cannot shift an answer.
 //!
@@ -1042,11 +1042,14 @@ fn parse_predict_body(body: &[u8], want_len: usize) -> Result<Vec<f32>, &'static
     }
     let mut out = Vec::with_capacity(arr.len());
     for v in arr {
-        let x = v.as_f64().ok_or("input elements must be numbers")?;
+        // Check after the cast: a finite f64 beyond f32's range (1e39)
+        // becomes inf, and one infinite input poisons the die's sense
+        // margin.
+        let x = v.as_f64().ok_or("input elements must be numbers")? as f32;
         if !x.is_finite() {
             return Err("input elements must be finite");
         }
-        out.push(x as f32);
+        out.push(x);
     }
     Ok(out)
 }
@@ -1117,9 +1120,12 @@ mod tests {
             let resp = client::predict(addr, &sample(i), CLIENT_TIMEOUT).unwrap();
             assert_eq!(resp.status, 200, "{}", resp.text());
         }
+        // 1e39 is a finite f64 but overflows f32 to inf.
+        let huge = format!("{{\"input\": [1e39{}]}}", ", 0".repeat(63));
         let bad = [
             ("POST", "/predict", Some("{\"input\": \"nope\"}"), 400),
             ("POST", "/predict", Some("this is not json"), 400),
+            ("POST", "/predict", Some(huge.as_str()), 400),
             ("GET", "/nope", None, 404),
             ("GET", "/predict", None, 405),
         ];
@@ -1127,6 +1133,9 @@ mod tests {
             let resp = client::request(addr, method, path, body, CLIENT_TIMEOUT).unwrap();
             assert_eq!(resp.status, want, "{method} {path}: {}", resp.text());
         }
+        // The batcher survived the bad rows.
+        let resp = client::predict(addr, &sample(6), CLIENT_TIMEOUT).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
         assert_eq!(client::request(addr, "GET", "/healthz", None, CLIENT_TIMEOUT).unwrap().status, 200);
         assert_eq!(client::request(addr, "GET", "/metrics", None, CLIENT_TIMEOUT).unwrap().status, 200);
         assert_eq!(client::request(addr, "GET", "/debug/flight", None, CLIENT_TIMEOUT).unwrap().status, 200);
@@ -1135,9 +1144,9 @@ mod tests {
         assert!(report.drained, "graceful drain must finish: {report:?}");
         let snap = handle.stats();
         assert!(snap.is_conserved(), "accepted != responded: {snap:?}");
-        assert_eq!(snap.accepted, 14);
-        assert_eq!(snap.answered + snap.abstained, 6);
-        assert_eq!(snap.bad_requests, 4);
+        assert_eq!(snap.accepted, 16);
+        assert_eq!(snap.answered + snap.abstained, 7);
+        assert_eq!(snap.bad_requests, 5);
         assert_eq!(snap.info_requests, 4);
         assert_eq!(snap.draining + snap.shed + snap.unserveable + snap.deadline_expired, 0);
     }

@@ -25,6 +25,17 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The crossbar kernels are compiled once per instruction level
+# (baseline, AVX2, AVX-512F), and the wide instantiations are
+# vectorised only in an optimising build: outside exp_throughput's own
+# asserts nothing else checks their bits. Re-run the crossbar tests
+# (per-level oracle battery included) and the model-level golden
+# battery in release.
+echo "==> cargo test --release -q --offline -p neuspin-cim"
+cargo test --release -q --offline -p neuspin-cim
+echo "==> cargo test --release -q --offline -p neuspin-core golden"
+cargo test --release -q --offline -p neuspin-core golden
+
 # The deterministic parallel MC engine must be thread-count-invariant:
 # re-run the workspace tests with a forced 4-worker default pool. Any
 # test that consults NEUSPIN_THREADS (directly or via

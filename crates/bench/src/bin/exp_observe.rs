@@ -65,6 +65,9 @@ const DEFAULT_TOL: f64 = 0.02;
 #[derive(Debug)]
 struct Report {
     host_threads: f64,
+    /// The instruction level the crossbar kernels ran at
+    /// ([`neuspin_cim::kernel_isa`]).
+    kernel_isa: String,
     fast_mode: f64,
     /// Row-major kernel, telemetry fully disabled (ns per call).
     kernel_disabled_ns_per_call: f64,
@@ -111,6 +114,7 @@ struct Report {
 
 neuspin_core::impl_to_json!(Report {
     host_threads,
+    kernel_isa,
     fast_mode,
     kernel_disabled_ns_per_call,
     baseline_rowmajor_ns_per_call,
@@ -634,6 +638,7 @@ fn main() -> ExitCode {
 
     let report = Report {
         host_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as f64,
+        kernel_isa: neuspin_cim::kernel_isa().to_string(),
         fast_mode: if fast { 1.0 } else { 0.0 },
         kernel_disabled_ns_per_call: disabled_ns,
         baseline_rowmajor_ns_per_call: baseline_ns,

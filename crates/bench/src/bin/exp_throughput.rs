@@ -13,6 +13,11 @@
 //!    (`packed_engaged = 1`); its `packed_vs_rowmajor` ratio is the
 //!    CI-gated regression floor ([`PACKED_FLOOR`]). All outputs are
 //!    bit-identical across kernels; the ratios are pure kernel wins.
+//!    The row-major and packed kernels run at the widest instruction
+//!    level the CPU reports (AVX-512F, AVX2 or the baseline), printed
+//!    and recorded as `kernel_isa` next to `host_threads`: the same
+//!    binary measures different kernels on different hosts, and
+//!    `--check` requires one of the three names.
 //! 2. **MC engine** — end-to-end Bayesian prediction on the compiled
 //!    SpinDrop CNN after fault management + calibration, across
 //!    engines: `seq_reference` (seed kernel, sequential), `seq` (the
@@ -75,7 +80,9 @@ const PACKED_FLOOR: f64 = 2.0;
 const RECORDED_SEQ_NS: [(f64, f64); 2] = [(32.0, 797_037_832.0), (128.0, 3_258_563_394.0)];
 
 /// Minimum full-mode `seq` speedup over [`RECORDED_SEQ_NS`] — the
-/// MC end-to-end regression floor (measured runs land near 1.9×).
+/// MC end-to-end regression floor (full-mode runs on a 2-vCPU host at
+/// the AVX-512F kernel level read about 2.1× at batch 32 and 3.0× at
+/// batch 128).
 const MC_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// Extra MC passes used by the differential allocation probe.
@@ -177,6 +184,9 @@ neuspin_core::impl_to_json!(AllocRow {
 #[derive(Debug)]
 struct Report {
     host_threads: f64,
+    /// The instruction level the crossbar kernels ran at
+    /// ([`neuspin_cim::kernel_isa`]).
+    kernel_isa: String,
     fast_mode: f64,
     kernel: Vec<KernelRow>,
     /// Percentile profile (p50/p95/p99) of the same kernels on the
@@ -187,7 +197,18 @@ struct Report {
     alloc: Vec<AllocRow>,
 }
 
-neuspin_core::impl_to_json!(Report { host_threads, fast_mode, kernel, kernel_timing, mc, alloc });
+neuspin_core::impl_to_json!(Report {
+    host_threads,
+    kernel_isa,
+    fast_mode,
+    kernel,
+    kernel_timing,
+    mc,
+    alloc
+});
+
+/// The names [`neuspin_cim::kernel_isa`] can report.
+const KERNEL_ISAS: [&str; 3] = ["avx512f", "avx2", "baseline"];
 
 /// Numeric keys every kernel row must carry, all finite.
 const KERNEL_KEYS: [&str; 12] = [
@@ -271,6 +292,11 @@ fn check_results() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let isa = value.get("kernel_isa").and_then(json::Json::as_str);
+    if !isa.is_some_and(|isa| KERNEL_ISAS.contains(&isa)) {
+        eprintln!("check failed: kernel_isa {isa:?} is not one of {KERNEL_ISAS:?}");
+        return ExitCode::FAILURE;
+    }
     let Some(kernel) = value.get("kernel").and_then(json::Json::as_arr) else {
         eprintln!("check failed: missing kernel array");
         return ExitCode::FAILURE;
@@ -598,7 +624,8 @@ fn main() -> ExitCode {
     }
     let fast = fast_mode();
 
-    println!("== Throughput baseline: crossbar kernels + parallel MC engine ==\n");
+    println!("== Throughput baseline: crossbar kernels + parallel MC engine ==");
+    println!("kernel level: {}\n", neuspin_cim::kernel_isa());
     let (kernel, kernel_timing) = kernel_bench(fast);
     for row in &kernel {
         let tile = if row.packed_engaged == 1.0 { "binary" } else { "analog" };
@@ -808,6 +835,7 @@ fn main() -> ExitCode {
 
     let report = Report {
         host_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as f64,
+        kernel_isa: neuspin_cim::kernel_isa().to_string(),
         fast_mode: if fast { 1.0 } else { 0.0 },
         kernel,
         kernel_timing,

@@ -44,21 +44,25 @@ impl Adc {
     }
 
     /// Number of output codes.
+    #[inline]
     pub fn levels(&self) -> u64 {
         1u64 << self.bits
     }
 
     /// Full-scale range (the quantizer covers ±this value).
+    #[inline]
     pub fn full_scale(&self) -> f64 {
         self.full_scale
     }
 
     /// Quantization step size.
+    #[inline]
     pub fn step(&self) -> f64 {
         2.0 * self.full_scale / self.levels() as f64
     }
 
     /// Quantizes a value (clamping to the rails).
+    #[inline]
     pub fn quantize(&self, x: f64) -> f64 {
         let clamped = x.clamp(-self.full_scale, self.full_scale);
         let step = self.step();

@@ -27,6 +27,10 @@ use rand::rngs::StdRng;
 /// Which evaluation kernel a [`Crossbar`] routes `matvec`/`matmul`
 /// through. See the module docs of `packed` for the packed fast path
 /// and DESIGN.md for the selection rules.
+///
+/// The row-major and packed kernels each run at the widest instruction
+/// level the CPU reports ([`kernel_isa`]); the level changes speed
+/// only, never a bit of output, tally, margin or RNG position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Pick automatically: the bit-packed XNOR/popcount kernel when the
@@ -39,10 +43,122 @@ pub enum KernelPolicy {
     Auto,
     /// Always the batch row-major kernel — the packed path's
     /// bit-identity counterpart and the one float kernel of the array.
+    /// At the AVX2 and AVX-512F levels it accumulates register strips
+    /// of 16 or 32 columns; each column still sums its rows in
+    /// ascending physical order.
     Scalar,
     /// Always the retained seed kernel ([`Crossbar::matvec_reference`])
     /// — the golden oracle for equivalence tests and baselines.
     Reference,
+}
+
+/// The instruction level the crossbar kernels run at. Every level
+/// compiles the same kernel bodies, which add and multiply each column
+/// in the same order; Rust never fuses `x * w` and `acc + term` into
+/// one rounding, so wider vectors give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), allow(dead_code))]
+enum Isa {
+    /// The target's default instruction set (SSE2 on `x86-64`).
+    Baseline,
+    /// AVX2 with POPCNT: 16-column strips.
+    Avx2,
+    /// AVX-512F with POPCNT: 32-column strips.
+    Avx512,
+}
+
+impl Isa {
+    /// The widest level this CPU supports. `std` caches the feature
+    /// probe, so detecting on every kernel call costs a few loads.
+    fn detect() -> Self {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if wide::has_avx512() {
+                return Isa::Avx512;
+            }
+            if wide::has_avx2() {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Baseline
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512f",
+        }
+    }
+}
+
+/// The instruction level the binary crossbar kernels run at on this
+/// CPU: `"avx512f"`, `"avx2"` or `"baseline"`. Read-only and
+/// informational — outputs, tallies and RNG streams are identical at
+/// every level.
+pub fn kernel_isa() -> &'static str {
+    Isa::detect().name()
+}
+
+/// The wide instantiations of the kernel bodies: one thin
+/// `#[target_feature]` wrapper per level and kernel. Calling one is
+/// `unsafe`; every caller re-checks the wrapper's features first.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod wide {
+    use super::{Crossbar, PackedPlane, StdRng};
+
+    pub(super) fn has_avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    }
+
+    pub(super) fn has_avx512() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("popcnt")
+    }
+
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn scalar_avx2(
+        x: &mut Crossbar,
+        inputs: &[f32],
+        n: usize,
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
+        x.matmul_scalar_body::<16>(inputs, n, out, rng);
+    }
+
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) fn scalar_avx512(
+        x: &mut Crossbar,
+        inputs: &[f32],
+        n: usize,
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
+        x.matmul_scalar_body::<32>(inputs, n, out, rng);
+    }
+
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn packed_avx2(
+        x: &mut Crossbar,
+        plane: &mut PackedPlane,
+        inputs: &[f32],
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
+        x.matmul_packed_body::<16>(plane, inputs, out, rng);
+    }
+
+    #[target_feature(enable = "avx512f,popcnt")]
+    pub(super) fn packed_avx512(
+        x: &mut Crossbar,
+        plane: &mut PackedPlane,
+        inputs: &[f32],
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
+        x.matmul_packed_body::<32>(plane, inputs, out, rng);
+    }
 }
 
 /// Diagnostic state of a crossbar's packed plane (see
@@ -248,21 +364,43 @@ impl ColumnReadout {
     /// Senses one column from its accumulated value `acc` and Σ term²
     /// `power` (read noise is drawn only when `power > 0`): tallies the
     /// margin window and any ADC saturation, returns the digitised value.
+    #[inline]
     fn sense(&mut self, mut acc: f64, power: f64, ops: &mut OpCounter, rng: &mut StdRng) -> f64 {
         if self.read_noise > 0.0 && power > 0.0 {
             acc += self.read_noise * power.sqrt() * stats::ziggurat_normal(rng);
         }
-        self.margin_sum += acc.abs();
-        self.margin_count += 1;
-        match &self.adc {
-            Some(adc) => {
-                if acc.abs() > adc.full_scale() {
-                    ops.adc_saturations += 1;
-                }
-                adc.quantize(acc)
-            }
+        match self.observe(acc, ops) {
+            Some(adc) => adc.quantize(acc),
             None => acc,
         }
+    }
+
+    /// Senses a noiseless column whose accumulation is the exact
+    /// integer `sum` (a packed column): the same margin window and
+    /// saturation tally as [`ColumnReadout::sense`], with the ADC code
+    /// read from `codes`, where `codes[codes.len() / 2 + sum]` holds
+    /// this read-out's `Adc::quantize(sum)` (see `PackedPlane::build`).
+    #[inline]
+    fn sense_exact(&mut self, sum: i64, codes: &[f64], ops: &mut OpCounter) -> f64 {
+        let acc = sum as f64;
+        match self.observe(acc, ops) {
+            Some(_) => codes[(codes.len() / 2).wrapping_add_signed(sum as isize)],
+            None => acc,
+        }
+    }
+
+    /// The sense-amplifier stage every column passes: advances the
+    /// margin window, tallies an ADC saturation, and hands back the ADC
+    /// (if any) to digitise `acc`.
+    #[inline]
+    fn observe(&mut self, acc: f64, ops: &mut OpCounter) -> Option<&Adc> {
+        self.margin_sum += acc.abs();
+        self.margin_count += 1;
+        let adc = self.adc.as_ref()?;
+        if acc.abs() > adc.full_scale() {
+            ops.adc_saturations += 1;
+        }
+        Some(adc)
     }
 
     fn mean_margin(&self) -> f64 {
@@ -806,12 +944,32 @@ impl Crossbar {
             return false;
         }
         if matches!(self.packed, PackedSlot::Stale) {
-            self.packed = match PackedPlane::build(&self.eff, self.rows, self.cols) {
+            let adc = self.readout.adc.as_ref();
+            self.packed = match PackedPlane::build(&self.eff, self.rows, self.cols, adc) {
                 Some(plane) => PackedSlot::Ready(Box::new(plane)),
                 None => PackedSlot::Unsupported,
             };
         }
         matches!(self.packed, PackedSlot::Ready(_))
+    }
+
+    /// The bit-packed XNOR/popcount kernel over a batch: each element
+    /// whose input is ternary takes [`Crossbar::matvec_packed`], the
+    /// rest the row-major kernel at `n = 1` — both at the level `W` the
+    /// calling wrapper was compiled for.
+    #[inline(always)]
+    fn matmul_packed_body<const W: usize>(
+        &mut self,
+        plane: &mut PackedPlane,
+        inputs: &[f32],
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
+        for (input, chunk) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(self.cols)) {
+            if !self.matvec_packed(plane, input, chunk, rng) {
+                self.matmul_scalar_body::<W>(input, 1, chunk, rng);
+            }
+        }
     }
 
     /// The bit-packed XNOR/popcount kernel for one evaluation: pack the
@@ -820,8 +978,10 @@ impl Crossbar {
     /// each column in ascending physical order through the shared
     /// read-out with Σ term² = 0, so `rng` is never drawn from (the
     /// tile is noiseless; the scalar kernel draws nothing there either).
-    /// Returns `false` without any side effect (no tallies, no margin,
-    /// no output) when the input is not ternary.
+    /// A packed column's ADC code comes from the plane's quantise
+    /// table. Returns `false` without any side effect (no tallies, no
+    /// margin, no output) when the input is not ternary.
+    #[inline(always)]
     fn matvec_packed(
         &mut self,
         plane: &mut PackedPlane,
@@ -837,11 +997,11 @@ impl Crossbar {
         self.packed_calls += 1;
         let (row_src, col_src) = (self.row_src.as_deref(), self.col_src.as_deref());
         for pj in 0..cols {
-            let acc = if plane.col_is_packed(pj) {
+            let value = if plane.col_is_packed(pj) {
                 // Exact integer accumulation: order-independent, so the
                 // whole-word popcount matches the scalar kernels'
                 // ascending-row float sum bit for bit.
-                plane.column_sum(pj)
+                self.readout.sense_exact(plane.column_sum(pj), plane.codes(), &mut self.counter)
             } else {
                 // Non-ternary column (short/open defect): replicate the
                 // reference kernel's ascending-row walk exactly.
@@ -853,10 +1013,9 @@ impl Crossbar {
                     }
                     acc += input[l] as f64 * self.wd[p * cols + pj];
                 }
-                acc
+                self.readout.sense(acc, 0.0, &mut self.counter, rng)
             };
-            out[col_src.map_or(pj, |m| m[pj])] =
-                self.readout.sense(acc, 0.0, &mut self.counter, rng);
+            out[col_src.map_or(pj, |m| m[pj])] = value;
         }
         true
     }
@@ -1114,6 +1273,10 @@ impl Crossbar {
     /// * otherwise the row-major kernel runs the whole batch with its
     ///   bookkeeping hoisted out of the loop (row indirection resolved
     ///   once, scratch sized once, op counts tallied in bulk).
+    ///
+    /// The row-major and packed kernels run at the instruction level
+    /// [`kernel_isa`] names, chosen on every call from what the CPU
+    /// reports; every level gives the same bits.
     pub fn matmul(&mut self, inputs: &[f32], n: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut out = vec![0.0f64; n * self.cols];
         self.matmul_into(inputs, n, &mut out, rng);
@@ -1130,6 +1293,21 @@ impl Crossbar {
     ///
     /// Panics if `inputs.len() != n * rows` or `out.len() != n * cols`.
     pub fn matmul_into(&mut self, inputs: &[f32], n: usize, out: &mut [f64], rng: &mut StdRng) {
+        self.matmul_into_at(Isa::detect(), inputs, n, out, rng);
+    }
+
+    /// [`Crossbar::matmul_into`] with the row-major and packed kernels
+    /// run at level `isa` — or at the baseline when the CPU lacks its
+    /// features, so a level that did not come from detection never
+    /// reaches a wide instantiation.
+    fn matmul_into_at(
+        &mut self,
+        isa: Isa,
+        inputs: &[f32],
+        n: usize,
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
         assert_eq!(inputs.len(), n * self.rows, "batch input length mismatch");
         assert_eq!(out.len(), n * self.cols, "batch output length mismatch");
         let policy = self.policy;
@@ -1149,23 +1327,58 @@ impl Crossbar {
                 else {
                     unreachable!("packed_ready guarantees a ready plane")
                 };
-                for (input, chunk) in
-                    inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(self.cols))
-                {
-                    if !self.matvec_packed(&mut plane, input, chunk, rng) {
-                        self.matmul_scalar_into(input, 1, chunk, rng);
+                match isa {
+                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                    Isa::Avx512 if wide::has_avx512() => {
+                        // SAFETY: the guard just confirmed avx512f and
+                        // popcnt, every feature `packed_avx512` enables.
+                        unsafe { wide::packed_avx512(self, &mut plane, inputs, out, rng) }
                     }
+                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                    Isa::Avx2 if wide::has_avx2() => {
+                        // SAFETY: the guard just confirmed avx2 and
+                        // popcnt, every feature `packed_avx2` enables.
+                        unsafe { wide::packed_avx2(self, &mut plane, inputs, out, rng) }
+                    }
+                    _ => self.matmul_packed_body::<0>(&mut plane, inputs, out, rng),
                 }
                 self.packed = PackedSlot::Ready(plane);
             }
-            _ => self.matmul_scalar_into(inputs, n, out, rng),
+            _ => match isa {
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Isa::Avx512 if wide::has_avx512() => {
+                    // SAFETY: the guard just confirmed avx512f and
+                    // popcnt, every feature `scalar_avx512` enables.
+                    unsafe { wide::scalar_avx512(self, inputs, n, out, rng) }
+                }
+                #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+                Isa::Avx2 if wide::has_avx2() => {
+                    // SAFETY: the guard just confirmed avx2 and popcnt,
+                    // every feature `scalar_avx2` enables.
+                    unsafe { wide::scalar_avx2(self, inputs, n, out, rng) }
+                }
+                _ => self.matmul_scalar_body::<0>(inputs, n, out, rng),
+            },
         }
     }
 
     /// The row-major kernel: handles every configuration — noise, IR
     /// drop, analog weights — bit-identically to
     /// [`Crossbar::matvec_reference`] (see [`Crossbar::matmul`]).
-    fn matmul_scalar_into(&mut self, inputs: &[f32], n: usize, out: &mut [f64], rng: &mut StdRng) {
+    ///
+    /// Columns `0..cols - cols % W` accumulate in register strips of
+    /// `W` columns, each walking the active rows once; the columns left
+    /// over (all of them at `W = 0`, the baseline level) take the
+    /// row-major loop. Either way every column sums its terms in
+    /// ascending physical row order, as the seed kernel does.
+    #[inline(always)]
+    fn matmul_scalar_body<const W: usize>(
+        &mut self,
+        inputs: &[f32],
+        n: usize,
+        out: &mut [f64],
+        rng: &mut StdRng,
+    ) {
         let cols = self.cols;
         // The gate pattern and remap are fixed across the batch:
         // resolve each enabled physical row to its logical input index
@@ -1188,25 +1401,46 @@ impl Crossbar {
         self.scratch.clear();
         self.scratch.resize(2 * cols, 0.0);
         let col_src = self.col_src.as_deref();
+        let strips = if W == 0 { 0 } else { cols - cols % W };
         for (input, chunk) in
             inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(cols))
         {
-            // Row-outer / column-inner accumulation: each enabled
-            // physical row streams its contiguous folded-weight (`wd`)
-            // slice into per-column accumulators, so every column's
-            // partial sums still arrive in ascending-`p` order — the
-            // same order (hence the same bits) as the column-outer seed
-            // kernel.
             let (acc, power) = self.scratch.split_at_mut(cols);
-            acc.fill(0.0);
-            power.fill(0.0);
-            for &(p, l) in &active {
-                let x = input[l] as f64;
-                let wd_row = &self.wd[p * cols..(p + 1) * cols];
-                for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
-                    let term = x * w; // IR denominator pre-folded into `wd`
-                    *a += term;
-                    *pw += term * term; // Σ term² for the noise model
+            // Register strips: W sums and W Σ term² values live in
+            // registers while the strip walks every active row.
+            for s in (0..strips).step_by(W.max(1)) {
+                let mut a = [0.0f64; W];
+                let mut pw = [0.0f64; W];
+                for &(p, l) in &active {
+                    let x = input[l] as f64;
+                    let w = self.wd[p * cols + s..].first_chunk::<W>().expect("strip in row");
+                    for ((a, pw), &w) in a.iter_mut().zip(pw.iter_mut()).zip(w) {
+                        let term = x * w;
+                        *a += term;
+                        *pw += term * term;
+                    }
+                }
+                acc[s..s + W].copy_from_slice(&a);
+                power[s..s + W].copy_from_slice(&pw);
+            }
+            // Row-outer / column-inner accumulation over the columns
+            // left over: each enabled physical row streams its
+            // contiguous folded-weight (`wd`) slice into per-column
+            // accumulators, so every column's partial sums still arrive
+            // in ascending-`p` order — the same order (hence the same
+            // bits) as the column-outer seed kernel.
+            if strips < cols {
+                let (acc, power) = (&mut acc[strips..], &mut power[strips..]);
+                acc.fill(0.0);
+                power.fill(0.0);
+                for &(p, l) in &active {
+                    let x = input[l] as f64;
+                    let wd_row = &self.wd[p * cols + strips..(p + 1) * cols];
+                    for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
+                        let term = x * w; // IR denominator pre-folded into `wd`
+                        *a += term;
+                        *pw += term * term; // Σ term² for the noise model
+                    }
                 }
             }
             // Sense columns in physical order — the seed kernel's
@@ -1588,7 +1822,7 @@ impl MlcCrossbar {
 mod tests {
     use super::*;
     use neuspin_device::{DefectKind, MtjParams, VariationModel};
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(101)
@@ -2596,5 +2830,203 @@ mod tests {
         assert_eq!(xbar.mean_sense_margin(), 0.0);
         let _ = xbar.matvec(&[0.5; 4], &mut r);
         assert!((xbar.mean_sense_margin() - 2.0).abs() < 1e-9);
+    }
+
+    /// Every instruction level this CPU supports, baseline first.
+    fn host_levels() -> Vec<Isa> {
+        let mut levels = vec![Isa::Baseline];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if wide::has_avx2() {
+                levels.push(Isa::Avx2);
+            }
+            if wide::has_avx512() {
+                levels.push(Isa::Avx512);
+            }
+        }
+        levels
+    }
+
+    /// Column counts around every strip width (8, 16, 32) and row
+    /// counts around the 64-bit packing word.
+    const LEVEL_COLS: [usize; 12] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 64, 65];
+    const LEVEL_ROWS: [usize; 5] = [1, 9, 64, 65, 130];
+
+    /// Runs `inputs` through `a` at `level` and through the seed-kernel
+    /// twin `b`, then asserts equal output bits, op tallies, sense
+    /// margins and RNG positions.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_level_matches_oracle(
+        level: Isa,
+        mut a: Crossbar,
+        mut ra: StdRng,
+        mut b: Crossbar,
+        mut rb: StdRng,
+        inputs: &[f32],
+        n: usize,
+        label: &str,
+    ) -> Crossbar {
+        b.set_kernel_policy(KernelPolicy::Reference);
+        let cols = a.cols();
+        let mut ya = vec![f64::NAN; n * cols];
+        let mut yb = vec![f64::NAN; n * cols];
+        // The whole batch, then its first element alone: the batch and
+        // the n = 1 paths on warm scratch.
+        a.matmul_into_at(level, inputs, n, &mut ya, &mut ra);
+        b.matmul_into(inputs, n, &mut yb, &mut rb);
+        let rows = a.rows();
+        a.matmul_into_at(level, &inputs[..rows], 1, &mut ya[..cols], &mut ra);
+        b.matmul_into(&inputs[..rows], 1, &mut yb[..cols], &mut rb);
+        for (i, (va, vb)) in ya.iter().zip(&yb).enumerate() {
+            assert_eq!(va.to_bits(), vb.to_bits(), "{label} {level:?}: element {i}: {va} vs {vb}");
+        }
+        assert_eq!(a.counter(), b.counter(), "{label} {level:?}: op tallies diverged");
+        let ((sa, ca), (sb, cb)) = (a.sense_margin_parts(), b.sense_margin_parts());
+        assert_eq!(sa.to_bits(), sb.to_bits(), "{label} {level:?}: margin sum {sa} vs {sb}");
+        assert_eq!(ca, cb, "{label} {level:?}: margin count");
+        assert_eq!(
+            stats::standard_normal(&mut ra).to_bits(),
+            stats::standard_normal(&mut rb).to_bits(),
+            "{label} {level:?}: RNG position diverged"
+        );
+        a
+    }
+
+    #[test]
+    fn row_major_kernel_matches_oracle_at_every_level() {
+        // Three corners per shape: the full analog mix (defects, read
+        // noise, IR drop, 6-bit ADC, remaps, gated rows); a 2-bit ADC
+        // driven past its rails; every word line gated off.
+        let levels = host_levels();
+        let mut saturations = 0u64;
+        for rows in LEVEL_ROWS {
+            for cols in LEVEL_COLS {
+                for corner in 0..3u64 {
+                    let seed = 0x15A0_0000 + ((rows as u64) << 16) + ((cols as u64) << 4) + corner;
+                    let label = format!("seed {seed:#x} rows {rows} cols {cols} corner {corner}");
+                    let config = CrossbarConfig {
+                        defect_rates: DefectRates::uniform(0.02),
+                        read_noise: 0.05,
+                        adc_bits: Some(if corner == 1 { 2 } else { 6 }),
+                        ir_drop: if corner == 1 { 0.0 } else { 0.07 },
+                        ..CrossbarConfig::default()
+                    };
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let w: Vec<f32> = (0..rows * cols)
+                        .map(|_| if r.random::<bool>() { 1.0 } else { -1.0 })
+                        .collect();
+                    let mut xbar = Crossbar::program(&w, rows, cols, &config, &mut r);
+                    match corner {
+                        0 => {
+                            xbar.apply_remap(
+                                (0..rows).map(|i| (i + 5) % rows).collect(),
+                                (0..cols).map(|i| (i + 3) % cols).collect(),
+                            );
+                            for row in (1..rows).step_by(3) {
+                                xbar.set_row_enabled(row, false);
+                            }
+                        }
+                        2 => (0..rows).for_each(|row| xbar.set_row_enabled(row, false)),
+                        _ => {}
+                    }
+                    // Corner 1 drives ±3 inputs, so columns overshoot the
+                    // ±rows full scale.
+                    let scale = if corner == 1 { 3.0 } else { 1.0 };
+                    let n = 3;
+                    let inputs: Vec<f32> =
+                        (0..n * rows).map(|_| (r.random::<f32>() * 2.0 - 1.0) * scale).collect();
+                    for &level in &levels {
+                        let a = assert_level_matches_oracle(
+                            level,
+                            xbar.clone(),
+                            r.clone(),
+                            xbar.clone(),
+                            r.clone(),
+                            &inputs,
+                            n,
+                            &label,
+                        );
+                        if corner == 1 {
+                            saturations += a.counter().adc_saturations;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saturations > 0, "the saturating corner never clipped the ADC");
+    }
+
+    #[test]
+    fn packed_kernel_matches_oracle_at_every_level() {
+        // Noiseless ternary tiles (stuck-at defects only), remapped and
+        // gated, with and without an ADC. Each batch holds a ternary
+        // input with +0.0 and -0.0 (packed), one with 0.5 and one with
+        // NaN on a live line (row-major fallback), and one whose 0.5 and
+        // NaN sit only on gated lines (packed).
+        let levels = host_levels();
+        for rows in LEVEL_ROWS {
+            for cols in LEVEL_COLS {
+                for corner in 0..3u64 {
+                    let seed = 0x9AC0_0000 + ((rows as u64) << 16) + ((cols as u64) << 4) + corner;
+                    let label = format!("seed {seed:#x} rows {rows} cols {cols} corner {corner}");
+                    let config = CrossbarConfig {
+                        defect_rates: DefectRates {
+                            stuck_parallel: 0.02,
+                            stuck_antiparallel: 0.02,
+                            ..DefectRates::none()
+                        },
+                        adc_bits: if corner == 1 { None } else { Some(5) },
+                        ..CrossbarConfig::ideal()
+                    };
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let w: Vec<f32> = (0..rows * cols)
+                        .map(|_| if r.random::<bool>() { 1.0 } else { -1.0 })
+                        .collect();
+                    let mut xbar = Crossbar::program(&w, rows, cols, &config, &mut r);
+                    xbar.apply_remap(
+                        (0..rows).map(|i| (i + 7) % rows).collect(),
+                        (0..cols).map(|i| (i + 5) % cols).collect(),
+                    );
+                    (0..rows).filter(|&row| row % 2 == 0 || corner == 2).for_each(|row| {
+                        xbar.set_row_enabled(row, false);
+                    });
+                    let ternary = [1.0f32, -1.0, 0.0, -0.0];
+                    let mut inputs: Vec<f32> = Vec::new();
+                    for element in 0..4 {
+                        let mut x: Vec<f32> =
+                            (0..rows).map(|_| ternary[r.random_range(0..4usize)]).collect();
+                        match element {
+                            // Line 1 is live unless every line is gated
+                            // (corner 2, or a single gated line 0).
+                            1 => x[rows.min(2) - 1] = 0.5,
+                            2 => x[rows.min(2) - 1] = f32::NAN,
+                            // Line 0 and the last even line are gated
+                            // in every corner.
+                            3 => {
+                                x[0] = 0.5;
+                                x[rows - 1 - (rows - 1) % 2] = f32::NAN;
+                            }
+                            _ => {}
+                        }
+                        inputs.extend(x);
+                    }
+                    let live_odd = corner != 2 && rows > 1;
+                    let packed = if live_odd { 2 } else { 4 } + 1; // + the n = 1 repeat
+                    for &level in &levels {
+                        let a = assert_level_matches_oracle(
+                            level,
+                            xbar.clone(),
+                            r.clone(),
+                            xbar.clone(),
+                            r.clone(),
+                            &inputs,
+                            4,
+                            &label,
+                        );
+                        assert_eq!(a.packed_calls(), packed, "{label} {level:?}: packed calls");
+                    }
+                }
+            }
+        }
     }
 }

@@ -52,8 +52,8 @@ pub use adc::{Adc, OpCounter};
 pub use bist::{march_test, BistConfig, BistReport};
 pub use bitcell::{MlcBitCell, XnorBitCell, XnorCellState};
 pub use crossbar::{
-    AgingHookState, Crossbar, CrossbarConfig, CrossbarState, KernelPolicy, MlcCrossbar,
-    MlcCrossbarState, PackedState, SpareColumnState,
+    kernel_isa, AgingHookState, Crossbar, CrossbarConfig, CrossbarState, KernelPolicy,
+    MlcCrossbar, MlcCrossbarState, PackedState, SpareColumnState,
 };
 pub use decoder::WordlineDecoder;
 pub use dropout_modules::{

@@ -31,12 +31,21 @@
 //!   row remap and word-line gating so bit `p` of word `k` holds the
 //!   logical input driving physical row `64·k + p`.
 //!
+//! [`PackedPlane::pack_input`] gathers each 64-row word into a stack
+//! buffer (0 on gated lines) and builds both bitmaps from branch-free
+//! compares, which the wide kernel levels vectorise. A column's sum is
+//! an integer in `-rows..=rows`, so its ADC code is a lookup into
+//! `codes`, filled from the array's own `Adc::quantize` when the plane
+//! is built.
+//!
 //! Columns holding a *non-ternary* effective weight (short/open defects,
 //! analog drift) cannot be packed; they are listed in `col_packed` and
 //! fall back to the reference-order scalar walk inside the packed
 //! kernel. A tile where more than a quarter of the columns are
 //! unpackable reports as unsupported via [`PackedPlane::build`]
 //! returning `None` — the crossbar then stays on the scalar kernel.
+
+use crate::adc::Adc;
 
 /// Bit-packed image of a crossbar's effective weights plus the per-call
 /// input bitmaps (physical coordinates, column-major words).
@@ -58,15 +67,19 @@ pub(crate) struct PackedPlane {
     x_act: Vec<u64>,
     /// Input sign bitmap for the current call (bit = input is `-1.0`).
     x_sign: Vec<u64>,
+    /// The quantise table: `codes[rows + s]` is the ADC's code for the
+    /// exact column sum `s ∈ -rows..=rows`; empty for an ideal read-out.
+    codes: Vec<f64>,
 }
 
 impl PackedPlane {
     /// Packs the row-major effective-weight matrix into sign/mask
-    /// bitmaps. Returns `None` when more than a quarter of the columns
-    /// hold non-ternary weights (variation corners, drifted tiles) —
-    /// the packed kernel would then mostly run its scalar fallback, so
-    /// the tile is better served by the scalar kernel outright.
-    pub(crate) fn build(eff: &[f64], rows: usize, cols: usize) -> Option<Self> {
+    /// bitmaps and quantises every possible column sum through `adc`.
+    /// Returns `None` when more than a quarter of the columns hold
+    /// non-ternary weights (variation corners, drifted tiles) — the
+    /// packed kernel would then mostly run its scalar fallback, so the
+    /// tile is better served by the scalar kernel outright.
+    pub(crate) fn build(eff: &[f64], rows: usize, cols: usize, adc: Option<&Adc>) -> Option<Self> {
         debug_assert_eq!(eff.len(), rows * cols);
         let words = rows.div_ceil(64);
         let mut sign = vec![0u64; cols * words];
@@ -96,6 +109,10 @@ impl PackedPlane {
         if scalar_cols * 4 > cols {
             return None;
         }
+        let span = rows as i64;
+        let codes = adc.map_or(Vec::new(), |adc| {
+            (-span..=span).map(|sum| adc.quantize(sum as f64)).collect()
+        });
         Some(Self {
             words,
             sign,
@@ -103,6 +120,7 @@ impl PackedPlane {
             col_packed,
             x_act: vec![0; words],
             x_sign: vec![0; words],
+            codes,
         })
     }
 
@@ -111,34 +129,45 @@ impl PackedPlane {
     /// the word-line gating. Returns `false` — leaving the caller to
     /// fall back to the scalar kernel — if any *enabled* input is not
     /// exactly `-1.0`, `0.0`, or `+1.0` (NaN included): only ternary
-    /// inputs keep the popcount identity exact.
+    /// inputs keep the popcount identity exact. `-0.0` is inactive, an
+    /// exact no-op in the scalar kernels too.
+    #[inline(always)]
     pub(crate) fn pack_input(
         &mut self,
         input: &[f32],
         row_src: Option<&[usize]>,
         row_enabled: &[bool],
     ) -> bool {
-        self.x_act.fill(0);
-        self.x_sign.fill(0);
-        for p in 0..input.len() {
-            let l = row_src.map_or(p, |m| m[p]);
-            if !row_enabled[l] {
-                continue;
+        for (k, (act, sign)) in self.x_act.iter_mut().zip(self.x_sign.iter_mut()).enumerate() {
+            // Gather the word's rows in physical order, 0 on gated lines.
+            let base = 64 * k;
+            let len = (input.len() - base).min(64);
+            let mut word = [0.0f32; 64];
+            match row_src {
+                None => {
+                    let (x, on) = (&input[base..base + len], &row_enabled[base..base + len]);
+                    for ((w, &x), &on) in word.iter_mut().zip(x).zip(on) {
+                        *w = if on { x } else { 0.0 };
+                    }
+                }
+                Some(map) => {
+                    for (w, &l) in word.iter_mut().zip(&map[base..base + len]) {
+                        *w = if row_enabled[l] { input[l] } else { 0.0 };
+                    }
+                }
             }
-            let x = input[l];
-            if x == 0.0 {
-                continue; // exact no-op in the scalar kernels too
+            let (mut a, mut s, mut odd) = (0u64, 0u64, 0u64);
+            for (bit, &x) in word.iter().enumerate() {
+                let (plus, minus) = (x == 1.0, x == -1.0);
+                a |= u64::from(plus | minus) << bit;
+                s |= u64::from(minus) << bit;
+                odd |= u64::from(!(plus | minus | (x == 0.0))) << bit;
             }
-            let word = p / 64;
-            let bit = 1u64 << (p % 64);
-            if x == 1.0 {
-                self.x_act[word] |= bit;
-            } else if x == -1.0 {
-                self.x_act[word] |= bit;
-                self.x_sign[word] |= bit;
-            } else {
+            if odd != 0 {
                 return false;
             }
+            *act = a;
+            *sign = s;
         }
         true
     }
@@ -149,10 +178,17 @@ impl PackedPlane {
         self.col_packed[j]
     }
 
+    /// The quantise table (see [`PackedPlane::build`]): the code of
+    /// column sum `s` sits at `codes[codes.len() / 2 + s]`.
+    pub(crate) fn codes(&self) -> &[f64] {
+        &self.codes
+    }
+
     /// The noiseless accumulation of physical column `j` against the
     /// bitmaps packed by the last [`PackedPlane::pack_input`]: an exact
-    /// small integer, returned as the `f64` the finalize stage expects.
-    pub(crate) fn column_sum(&self, j: usize) -> f64 {
+    /// small integer in `-rows..=rows`.
+    #[inline(always)]
+    pub(crate) fn column_sum(&self, j: usize) -> i64 {
         let sign = &self.sign[j * self.words..(j + 1) * self.words];
         let mask = &self.mask[j * self.words..(j + 1) * self.words];
         let mut active: u64 = 0;
@@ -164,7 +200,7 @@ impl PackedPlane {
             active += u64::from(live.count_ones());
             negative += u64::from(((s ^ xs) & live).count_ones());
         }
-        (active as i64 - 2 * negative as i64) as f64
+        active as i64 - 2 * negative as i64
     }
 }
 
@@ -180,7 +216,7 @@ mod tests {
             -1.0, 0.0, 1.0, //
             1.0, 1.0, -1.0,
         ];
-        let plane = PackedPlane::build(&eff, 3, 3);
+        let plane = PackedPlane::build(&eff, 3, 3, None);
         // 1 of 3 columns unpackable → 4·1 > 3 → unsupported.
         assert!(plane.is_none());
 
@@ -189,7 +225,7 @@ mod tests {
             -1.0, 0.0, 1.0, -1.0, 1.0, //
             1.0, 1.0, -1.0, 1.0, -1.0,
         ];
-        let plane = PackedPlane::build(&eff, 3, 5).expect("1 of 5 scalar is supported");
+        let plane = PackedPlane::build(&eff, 3, 5, None).expect("1 of 5 scalar is supported");
         assert!(plane.col_is_packed(0));
         assert!(plane.col_is_packed(1));
         assert!(!plane.col_is_packed(2));
@@ -212,7 +248,7 @@ mod tests {
                 _ => 0.0,
             })
             .collect();
-        let mut plane = PackedPlane::build(&eff, rows, 1).unwrap();
+        let mut plane = PackedPlane::build(&eff, rows, 1, None).unwrap();
         let input: Vec<f32> =
             (0..rows).map(|i| [1.0f32, -1.0, 0.0, 1.0, -1.0][i % 5]).collect();
         let mut enabled = vec![true; rows];
@@ -223,13 +259,13 @@ mod tests {
             .filter(|&i| enabled[i])
             .map(|i| input[i] as f64 * eff[i])
             .sum();
-        assert_eq!(plane.column_sum(0).to_bits(), expect.to_bits());
+        assert_eq!((plane.column_sum(0) as f64).to_bits(), expect.to_bits());
     }
 
     #[test]
     fn pack_input_rejects_non_ternary_and_nan_inputs() {
         let eff = vec![1.0, -1.0];
-        let mut plane = PackedPlane::build(&eff, 2, 1).unwrap();
+        let mut plane = PackedPlane::build(&eff, 2, 1, None).unwrap();
         assert!(plane.pack_input(&[1.0, -1.0], None, &[true, true]));
         assert!(!plane.pack_input(&[1.0, 0.5], None, &[true, true]));
         assert!(!plane.pack_input(&[f32::NAN, 1.0], None, &[true, true]));
@@ -237,18 +273,31 @@ mod tests {
         assert!(plane.pack_input(&[1.0, 0.5], None, &[true, false]));
         // Negative zero is an exact no-op, not a sign.
         assert!(plane.pack_input(&[-0.0, 1.0], None, &[true, true]));
-        assert_eq!(plane.column_sum(0), -1.0);
+        assert_eq!(plane.column_sum(0), -1);
+    }
+
+    #[test]
+    fn codes_table_holds_the_adc_code_of_every_column_sum() {
+        let rows = 5;
+        let adc = Adc::new(3, rows as f64);
+        let plane = PackedPlane::build(&vec![1.0; rows], rows, 1, Some(&adc)).unwrap();
+        assert_eq!(plane.codes().len(), 2 * rows + 1);
+        for (i, &code) in plane.codes().iter().enumerate() {
+            let sum = i as f64 - rows as f64;
+            assert_eq!(code.to_bits(), adc.quantize(sum).to_bits(), "sum {sum}");
+        }
+        assert!(PackedPlane::build(&[1.0], 1, 1, None).unwrap().codes().is_empty());
     }
 
     #[test]
     fn pack_input_routes_rows_through_remap() {
         // Physical row p carries logical line row_src[p].
         let eff = vec![1.0, -1.0, 1.0]; // 3×1
-        let mut plane = PackedPlane::build(&eff, 3, 1).unwrap();
+        let mut plane = PackedPlane::build(&eff, 3, 1, None).unwrap();
         let row_src = [2usize, 0, 1];
         let input = [1.0f32, -1.0, 1.0];
         assert!(plane.pack_input(&input, Some(&row_src), &[true; 3]));
         // acc = x[2]·w[0] + x[0]·w[1] + x[1]·w[2] = 1 − 1 − 1.
-        assert_eq!(plane.column_sum(0), -1.0);
+        assert_eq!(plane.column_sum(0), -1);
     }
 }

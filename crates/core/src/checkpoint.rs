@@ -472,15 +472,30 @@ fn encode_crossbar(s: &CrossbarState) -> Json {
     ])
 }
 
+/// Decodes one defect coordinate: a non-negative integer below `len`.
+fn defect_coord(v: &Json, len: usize, what: &str, i: usize) -> R<usize> {
+    match v.as_f64() {
+        Some(f) if f >= 0.0 && f.fract() == 0.0 && f < len as f64 => Ok(f as usize),
+        _ => Err(bad(format!("defect {i} {what} is not an index below {len}"))),
+    }
+}
+
 fn decode_crossbar(v: &Json) -> R<CrossbarState> {
+    let cells = decode_cells(v, "cells")?;
+    let row_enabled = bools_field(v, "row_enabled")?;
+    // A defect outside the array would panic in `Crossbar::import_state`
+    // after the checksum passed: bound every coordinate by the geometry
+    // the state itself carries.
+    let rows = row_enabled.len();
+    let cols = cells.len().checked_div(rows).unwrap_or(0);
     let mut defects = Vec::new();
     for (i, item) in arr_field(v, "defects")?.iter().enumerate() {
         let triple = item.as_arr().ok_or_else(|| bad(format!("defect {i} is not a triple")))?;
         if triple.len() != 3 {
             return Err(bad(format!("defect {i} is not a 3-element triple")));
         }
-        let r = triple[0].as_f64().ok_or_else(|| bad("defect row"))? as usize;
-        let c = triple[1].as_f64().ok_or_else(|| bad("defect col"))? as usize;
+        let r = defect_coord(&triple[0], rows, "row", i)?;
+        let c = defect_coord(&triple[1], cols, "col", i)?;
         let k = decode_defect(&triple[2], "defect kind")?
             .ok_or_else(|| bad(format!("defect {i} has a null kind")))?;
         defects.push((r, c, k));
@@ -490,9 +505,9 @@ fn decode_crossbar(v: &Json) -> R<CrossbarState> {
         hook => Some(decode_aging_hook(hook)?),
     };
     Ok(CrossbarState {
-        cells: decode_cells(v, "cells")?,
+        cells,
         eff: f64s_field(v, "eff")?,
-        row_enabled: bools_field(v, "row_enabled")?,
+        row_enabled,
         counter: decode_counter(field(v, "counter")?)?,
         defects,
         spares: arr_field(v, "spares")?.iter().map(decode_spare).collect::<R<Vec<_>>>()?,
@@ -1066,6 +1081,57 @@ mod tests {
         let err = sup.restore_from_str("{\"format\": \"junk\"}");
         assert!(err.is_err());
         assert_eq!(sup.checkpoint(), before, "failed restore must not mutate state");
+    }
+
+    /// Pushes `triple` onto the first `defects` array found depth-first.
+    fn push_first_defect(v: &mut Json, triple: &Json) -> bool {
+        match v {
+            Json::Obj(pairs) => pairs.iter_mut().any(|(k, child)| match child {
+                Json::Arr(items) if k == "defects" => {
+                    items.push(triple.clone());
+                    true
+                }
+                _ => push_first_defect(child, triple),
+            }),
+            Json::Arr(items) => items.iter_mut().any(|child| push_first_defect(child, triple)),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_defect_under_valid_checksum() {
+        let donor = small_commissioned_supervisor(12).checkpoint();
+        let bad_triples = [
+            [9999.0, 0.0, 0.0],
+            [0.0, 9999.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0],
+        ];
+        for coords in bad_triples {
+            let triple = Json::Arr(coords.iter().map(|&x| Json::Num(x)).collect());
+            let tampered = tamper(&donor, |p| {
+                let mut payload = None;
+                for (k, v) in p.iter_mut() {
+                    if k == "payload" {
+                        assert!(push_first_defect(v, &triple), "no defects array in the payload");
+                        payload = Some(v.to_string());
+                    }
+                }
+                let checksum = format!("{:016x}", fnv1a(payload.expect("payload").as_bytes()));
+                set_field(p, "checksum", Json::Str(checksum));
+            });
+            // A diverged twin: the same die, one served batch further on.
+            let mut twin = small_commissioned_supervisor(12);
+            twin.serve_predict(&small_inputs(2, 5), 3);
+            let before = twin.checkpoint();
+            let err = twin.restore_from_str(&tampered);
+            let rejected = matches!(
+                err,
+                Err(CheckpointError::Malformed(ref m)) if m.contains("is not an index below")
+            );
+            assert!(rejected, "{coords:?}: want Malformed, got {err:?}");
+            assert_eq!(twin.checkpoint(), before, "{coords:?}: failed restore mutated state");
+        }
     }
 
     #[test]

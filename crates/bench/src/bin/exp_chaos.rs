@@ -29,7 +29,7 @@
 //! panic, queue stall, weight-flip event, and malformed request was
 //! injected; every crashed die rejoined through a passing BIST gate
 //! with byte-equal outputs; the fleet ended every stage fully
-//! serveable; p99 under `NEUSPIN_CHAOS_P99_MS` (default 500 ms); and
+//! serveable; p99 under 500 ms; and
 //! the flight-recorder dump *alone* reconstructs every injected fault
 //! — site, affected request ids, recovery outcome — with exact counts
 //! against the live ledger and zero ring drops.
@@ -78,18 +78,6 @@ const DEFAULT_P99_MS: f64 = 500.0;
 /// thread counts, and CI compares it.
 const NONDETERMINISTIC_KEYS: [&str; 6] =
     ["host_threads", "duration_s", "p50_ms", "p95_ms", "p99_ms", "checkpoint_bytes"];
-
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
-fn p99_budget_ms() -> f64 {
-    std::env::var("NEUSPIN_CHAOS_P99_MS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .unwrap_or(DEFAULT_P99_MS)
-}
 
 struct Params {
     arch: ArchConfig,
@@ -793,15 +781,14 @@ fn check_results() -> ExitCode {
         Ok(v) => v,
         Err(e) => return fail(e),
     };
-    let budget = p99_budget_ms();
-    if p99 <= 0.0 || p99 > budget {
-        return fail(format!("p99 {p99:.1} ms outside (0, {budget:.0}] budget"));
+    if p99 <= 0.0 || p99 > DEFAULT_P99_MS {
+        return fail(format!("p99 {p99:.1} ms outside (0, {DEFAULT_P99_MS:.0}] budget"));
     }
 
     println!(
         "exp_chaos.json: round-trip held, {crashes} crashes all restored through the \
          BIST gate byte-equal, conservation exact, flight dump reconstructs the campaign, \
-         p99 {p99:.1} ms (budget {budget:.0})",
+         p99 {p99:.1} ms (budget {DEFAULT_P99_MS:.0})",
     );
     ExitCode::SUCCESS
 }
@@ -810,7 +797,7 @@ fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--check") {
         return check_results();
     }
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
     let p = params(fast);
     println!("== Chaos campaign: {DIES} dies, {STAGES} escalating stages ==\n");
 

@@ -68,10 +68,6 @@ const SCHEMA_KEYS: [&str; 10] = [
     "abstain_threshold",
 ];
 
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
 fn check_results() -> ExitCode {
     let path = results_dir().join("exp_faultmgmt.json");
     let text = match std::fs::read_to_string(&path) {
@@ -120,7 +116,7 @@ fn main() -> ExitCode {
         return check_results();
     }
 
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
     let setup = if fast {
         Setup { epochs: 2, train_images: 600, test_images: 96, calib_images: 48, passes: 6, ..Setup::quick() }
     } else {

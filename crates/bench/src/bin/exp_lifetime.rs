@@ -162,10 +162,6 @@ const SUMMARY_KEYS: [&str; 17] = [
     "points",
 ];
 
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
 fn bench_root() -> std::path::PathBuf {
     let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
     std::path::PathBuf::from(root)
@@ -304,7 +300,7 @@ fn main() -> ExitCode {
         return check_results();
     }
 
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
     let setup = if fast {
         Setup { epochs: 2, train_images: 600, test_images: 96, calib_images: 48, passes: 6, ..Setup::quick() }
     } else {

@@ -6,8 +6,7 @@
 //!    re-timed with telemetry off and compared against the
 //!    `BENCH_throughput.json` baseline the untelemetered binary wrote
 //!    (like-for-like: the comparison is skipped when the baseline was
-//!    recorded in a different fast/full mode). Override the tolerance
-//!    with `NEUSPIN_OBSERVE_TOL` (default `0.02`).
+//!    recorded in a different fast/full mode).
 //! 2. **Tracing is deterministic.** A fully traced `predict_par` is run
 //!    on 1/2/4-worker pools: the `Predictive` must be bit-identical
 //!    *and* the emitted JSONL trace must byte-compare across pools
@@ -18,8 +17,8 @@
 //!    serve workload is timed under the standard metrics registry with
 //!    the flight-recorder lineage ring on vs off, so the delta is the
 //!    per-request cost of structured event recording; the
-//!    traced/untraced ratio shares the `NEUSPIN_OBSERVE_TOL` tolerance
-//!    and re-measures on noisy hosts.
+//!    traced/untraced ratio shares the 2 % tolerance and re-measures
+//!    on noisy hosts.
 //!
 //! On top of the gates it reports the enabled-path cost (metrics-only
 //! and metrics+trace overhead ratios over a disabled run), span counts,
@@ -59,7 +58,8 @@ use std::time::{Duration, Instant};
 /// inference workload the throughput baseline measured.
 const PREDICT_SEED: u64 = 0x7457_0001;
 
-/// Default relative tolerance of the disabled-telemetry overhead gate.
+/// Relative tolerance of the disabled-telemetry overhead gate and the
+/// serve-path lineage gate.
 const DEFAULT_TOL: f64 = 0.02;
 
 #[derive(Debug)]
@@ -102,7 +102,7 @@ struct Report {
     /// Serve path, ns per closed-loop request: lineage layer off / on.
     serve_untraced_ns_per_req: f64,
     serve_traced_ns_per_req: f64,
-    /// traced / untraced — gated ≤ 1 + NEUSPIN_OBSERVE_TOL by --check.
+    /// traced / untraced — gated ≤ 1 + DEFAULT_TOL by --check.
     serve_trace_overhead_ratio: f64,
     /// Trace events in the emitted JSONL (one per line).
     trace_events: f64,
@@ -138,18 +138,6 @@ neuspin_core::impl_to_json!(Report {
     trace_bytes,
     metrics,
 });
-
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
-fn overhead_tolerance() -> f64 {
-    std::env::var("NEUSPIN_OBSERVE_TOL")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(DEFAULT_TOL)
-}
 
 /// Best-of-`reps` wall time of `calls` back-to-back invocations, as
 /// nanoseconds per call (the `exp_throughput` timer).
@@ -420,15 +408,14 @@ fn check_results() -> ExitCode {
     }
     // The overhead gate: disabled-telemetry kernel throughput within
     // tolerance of the untelemetered BENCH_throughput.json baseline.
-    let tol = overhead_tolerance();
     let found = finite_num(&value, "baseline_found").unwrap_or(0.0);
     let overhead = finite_num(&value, "kernel_overhead_vs_baseline").unwrap();
-    if found == 1.0 && overhead > 1.0 + tol {
+    if found == 1.0 && overhead > 1.0 + DEFAULT_TOL {
         eprintln!(
             "check failed: disabled-telemetry kernel is {:.2}% slower than the \
              BENCH_throughput.json baseline (tolerance {:.2}%)",
             (overhead - 1.0) * 100.0,
-            tol * 100.0,
+            DEFAULT_TOL * 100.0,
         );
         return ExitCode::FAILURE;
     }
@@ -436,12 +423,12 @@ fn check_results() -> ExitCode {
     // histograms + flight ring + SLO tracking) must cost no more than
     // the tolerance over an untraced request.
     let serve_ratio = finite_num(&value, "serve_trace_overhead_ratio").unwrap_or(f64::MAX);
-    if serve_ratio > 1.0 + tol {
+    if serve_ratio > 1.0 + DEFAULT_TOL {
         eprintln!(
             "check failed: serve-path tracing is {:.2}% slower than untraced \
              (tolerance {:.2}%)",
             (serve_ratio - 1.0) * 100.0,
-            tol * 100.0,
+            DEFAULT_TOL * 100.0,
         );
         return ExitCode::FAILURE;
     }
@@ -489,7 +476,7 @@ fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--check") {
         return check_results();
     }
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
     println!("== Telemetry overhead + deterministic trace gate ==\n");
     telemetry::set_enabled(false, false);
     telemetry::reset();
@@ -504,9 +491,8 @@ fn main() -> ExitCode {
     if baseline_found == 1.0 {
         // Best-of semantics: a slow first sample on a noisy host is
         // re-measured rather than failing the gate outright.
-        let tol = overhead_tolerance();
         for _ in 0..3 {
-            if disabled_ns / baseline_ns <= 1.0 + tol {
+            if disabled_ns / baseline_ns <= 1.0 + DEFAULT_TOL {
                 break;
             }
             disabled_ns = disabled_ns.min(kernel_disabled_ns(fast));
@@ -616,13 +602,12 @@ fn main() -> ExitCode {
     //    lineage ring on vs off, best-of with re-measurement on noisy
     //    hosts (same pattern as the kernel gate). The per-request cost
     //    of structured event recording must stay inside the tolerance.
-    let tol = overhead_tolerance();
     let n_req = if fast { 40 } else { 120 };
     eprintln!("serve-path overhead probe: {n_req} requests per side ...");
     let mut serve_off_ns = serve_ns_per_request(false, n_req);
     let mut serve_on_ns = serve_ns_per_request(true, n_req);
     for _ in 0..3 {
-        if serve_on_ns / serve_off_ns <= 1.0 + tol {
+        if serve_on_ns / serve_off_ns <= 1.0 + DEFAULT_TOL {
             break;
         }
         serve_off_ns = serve_off_ns.min(serve_ns_per_request(false, n_req));

@@ -22,11 +22,10 @@
 //! served counts, and the Prometheus exposition with the per-die
 //! health-tier gauges. `--check` re-parses the emitted JSON and gates:
 //! zero drops, request conservation (accepted == terminal outcomes),
-//! failover engaged, die 0 latched + quiesced, p99 under
-//! `NEUSPIN_SERVING_P99_MS` (default 500 ms), every 200 carrying a
-//! parseable `X-NeuSpin-Trace` header that names the serving die, the
-//! per-stage waterfall histograms complete on the tuned buckets, and a
-//! clean SLO window (availability 1, zero availability burn) off
+//! failover engaged, die 0 latched + quiesced, p99 under 500 ms, every
+//! 200 carrying a parseable `X-NeuSpin-Trace` header that names the
+//! serving die, the per-stage waterfall histograms complete on the
+//! tuned buckets, and a clean SLO window (availability 1, zero availability burn) off
 //! `GET /debug/slo`.
 //!
 //! ```sh
@@ -63,18 +62,6 @@ const MASTER_SEED: u64 = 0x5E84_0001;
 /// Device-hours of conductance drift applied to die 0 mid-traffic.
 const AGE_HOURS: f64 = 500.0;
 const DEFAULT_P99_MS: f64 = 500.0;
-
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
-fn p99_budget_ms() -> f64 {
-    std::env::var("NEUSPIN_SERVING_P99_MS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .unwrap_or(DEFAULT_P99_MS)
-}
 
 struct Params {
     arch: ArchConfig,
@@ -368,9 +355,8 @@ fn check_results() -> ExitCode {
     if !(0.0 < p50 && p50 <= p95 && p95 <= p99) {
         return fail(format!("percentiles disordered: p50 {p50}, p95 {p95}, p99 {p99}"));
     }
-    let budget = p99_budget_ms();
-    if p99 > budget {
-        return fail(format!("p99 {p99:.1} ms over the {budget:.0} ms budget"));
+    if p99 > DEFAULT_P99_MS {
+        return fail(format!("p99 {p99:.1} ms over the {DEFAULT_P99_MS:.0} ms budget"));
     }
 
     // 5. Per-die health-tier gauges made it into the exposition.
@@ -412,7 +398,7 @@ fn check_results() -> ExitCode {
     println!(
         "exp_serving.json: {total} requests, zero drops, failover engaged \
          ({failovers} batch + {retries} sample), die 0 latched+quiet, \
-         p50/p95/p99 {p50:.1}/{p95:.1}/{p99:.1} ms (budget {budget:.0})",
+         p50/p95/p99 {p50:.1}/{p95:.1}/{p99:.1} ms (budget {DEFAULT_P99_MS:.0})",
     );
     ExitCode::SUCCESS
 }
@@ -421,7 +407,7 @@ fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--check") {
         return check_results();
     }
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
     let p = params(fast);
     let input_len = p.arch.side * p.arch.side;
     println!("== Serving under degradation: {DIES} dies, {CLIENTS} clients ==\n");

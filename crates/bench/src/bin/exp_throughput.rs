@@ -250,10 +250,6 @@ const ALLOC_KEYS: [&str; 6] = [
     "plan_scratch_bytes",
 ];
 
-fn fast_mode() -> bool {
-    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Best-of-`reps` wall time of `calls` back-to-back invocations,
 /// reported as nanoseconds per call.
 fn time_ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
@@ -622,7 +618,7 @@ fn main() -> ExitCode {
     if std::env::args().any(|a| a == "--check") {
         return check_results();
     }
-    let fast = fast_mode();
+    let fast = neuspin_bench::fast_mode();
 
     println!("== Throughput baseline: crossbar kernels + parallel MC engine ==");
     println!("kernel level: {}\n", neuspin_cim::kernel_isa());

@@ -32,6 +32,12 @@ pub mod allocs;
 pub mod scenarios;
 pub mod timing;
 
+/// Whether `NEUSPIN_BENCH_FAST=1` asks for the seconds-long smoke pass
+/// (shrunken grids, budgets and training) instead of the full run.
+pub fn fast_mode() -> bool {
+    std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
+}
+
 /// Where result JSON files land (`results/` at the workspace root).
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("NEUSPIN_RESULTS").unwrap_or_else(|_| "results".to_string());

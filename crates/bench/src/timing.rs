@@ -167,7 +167,7 @@ impl Harness {
     /// Creates a harness for the named suite.
     pub fn new(suite: impl Into<String>) -> Self {
         let suite = suite.into();
-        let fast = std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false);
+        let fast = crate::fast_mode();
         let (warmup, target_batch) = if fast {
             (Duration::from_micros(500), Duration::from_micros(500))
         } else {

@@ -246,7 +246,7 @@ pub struct AgingHookState {
 /// [`Crossbar::import_state`] onto a crossbar built by the *same
 /// deterministic constructor* (same weights, geometry, config, and
 /// seed). Immutable structure — geometry, device corner, read noise,
-/// ADC, IR-drop table, kernel policy — is *not* captured: the twin
+/// ADC, IR drop, kernel policy — is *not* captured: the twin
 /// already has it, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarState {
@@ -456,18 +456,14 @@ pub struct Crossbar {
     counter: OpCounter,
     defects: DefectMap,
     ir_drop: f64,
-    /// Precomputed per-cell IR-drop denominators
-    /// `1 + ir_drop · (r/rows + c/cols)` in row-major physical order;
-    /// empty when `ir_drop == 0`. Positions are physical, so the table
-    /// survives remaps unchanged; it exists to build [`Crossbar::wd`].
-    ir_denom: Vec<f64>,
     /// Effective weights with the IR-drop denominator folded in:
-    /// `wd[i] = eff[i] / ir_denom[i]` (a plain copy of `eff` when IR
-    /// drop is disabled, so noiseless configs keep their historical
-    /// bits). The evaluation kernels read this table instead of
-    /// dividing per MAC — the division happens once per device-state
-    /// mutation instead of rows×cols times per evaluation, which
-    /// removes the divider-throughput bottleneck from the MC hot path.
+    /// `wd[i] = eff[i] / (1 + ir_drop · (r/rows + c/cols))` at the
+    /// cell's physical `(r, c)` (a plain copy of `eff` when IR drop is
+    /// disabled, so noiseless configs keep their historical bits). The
+    /// evaluation kernels read this table instead of dividing per MAC —
+    /// the division happens once per device-state mutation instead of
+    /// rows×cols times per evaluation, which removes the
+    /// divider-throughput bottleneck from the MC hot path.
     /// Every kernel folds the same way, so cross-kernel bit-identity is
     /// preserved. Refreshed by [`Crossbar::refresh_wd`] under the same
     /// discipline as [`Crossbar::invalidate_packed`].
@@ -496,23 +492,6 @@ pub struct Crossbar {
     /// [`Crossbar::enable_aging`] attaches it, so arrays that never age
     /// keep the historical RNG streams and behaviour bit for bit.
     aging: Option<Box<AgingHook>>,
-}
-
-/// The per-cell IR-drop denominator table (empty when the effect is
-/// disabled). Entries are computed with the exact expression the seed
-/// kernel used inline, so lookups reproduce its bits.
-fn ir_denom_table(rows: usize, cols: usize, ir_drop: f64) -> Vec<f64> {
-    if ir_drop <= 0.0 {
-        return Vec::new();
-    }
-    let mut table = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        let row_term = r as f64 / rows as f64;
-        for c in 0..cols {
-            table.push(1.0 + ir_drop * (row_term + c as f64 / cols as f64));
-        }
-    }
-    table
 }
 
 impl Crossbar {
@@ -599,7 +578,6 @@ impl Crossbar {
             counter: OpCounter::new(),
             defects,
             ir_drop: config.ir_drop,
-            ir_denom: ir_denom_table(rows, cols, config.ir_drop),
             wd: vec![0.0; rows * cols],
             spares: spare_cols,
             row_src: None,
@@ -635,13 +613,19 @@ impl Crossbar {
 
     /// Rebuilds the folded weight table [`Crossbar::wd`]. Must
     /// accompany every mutation of `eff` — the same discipline (and the
-    /// same three sites) as [`Crossbar::invalidate_packed`].
+    /// same three sites) as [`Crossbar::invalidate_packed`]. Each
+    /// IR-drop denominator is the exact expression the seed kernel used
+    /// inline, so the folded weights reproduce its bits.
     fn refresh_wd(&mut self) {
-        if self.ir_denom.is_empty() {
+        if self.ir_drop <= 0.0 {
             self.wd.copy_from_slice(&self.eff);
-        } else {
-            for ((w, &e), &d) in self.wd.iter_mut().zip(&self.eff).zip(&self.ir_denom) {
-                *w = e / d;
+            return;
+        }
+        let (rows, cols) = (self.rows, self.cols);
+        let rows_eff = self.wd.chunks_exact_mut(cols).zip(self.eff.chunks_exact(cols));
+        for (r, (w_row, e_row)) in rows_eff.enumerate() {
+            for (c, (w, &e)) in w_row.iter_mut().zip(e_row).enumerate() {
+                *w = e / (1.0 + self.ir_drop * (r as f64 / rows as f64 + c as f64 / cols as f64));
             }
         }
     }
@@ -801,8 +785,9 @@ impl Crossbar {
         self.counter.sa_evals += self.cols as u64;
         let mut out = vec![0.0f64; self.cols];
         for (j, o) in out.iter_mut().enumerate() {
-            // `wd` is exactly `eff / ir_denom`, the value this read
-            // historically computed inline.
+            // `wd` is exactly `eff` over the cell's IR-drop
+            // denominator, the value this read historically computed
+            // inline.
             let mut term = self.wd[row * self.cols + j];
             let noise = self.readout.read_noise;
             if noise > 0.0 && term != 0.0 {
@@ -825,8 +810,8 @@ impl Crossbar {
     ///
     /// Panics if either map is not a permutation of its index range.
     pub fn apply_remap(&mut self, row_src: Vec<usize>, col_src: Vec<usize>) {
-        assert_permutation(&row_src, self.rows, "row_src");
-        assert_permutation(&col_src, self.cols, "col_src");
+        check_permutation(&row_src, self.rows, "row_src").unwrap_or_else(|e| panic!("{e}"));
+        check_permutation(&col_src, self.cols, "col_src").unwrap_or_else(|e| panic!("{e}"));
         let logical = self.stored_logical_signs();
         let identity_rows = row_src.iter().enumerate().all(|(i, &v)| i == v);
         let identity_cols = col_src.iter().enumerate().all(|(i, &v)| i == v);
@@ -1535,21 +1520,49 @@ impl Crossbar {
     /// that exported the state: outputs, tallies, margins, and every
     /// event-RNG stream position.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any population, shape, or aging-attachment check
-    /// fails — the state came from a differently built array.
-    pub fn import_state(&mut self, state: &CrossbarState) {
+    /// Refuses, leaving the array unchanged, a state that came from a
+    /// differently built array or that this array could not export:
+    /// a population, shape or aging-attachment mismatch, a remap that
+    /// is not a permutation, or a defect list that is not in strictly
+    /// ascending `(row, col)` order inside the array.
+    pub fn import_state(&mut self, state: &CrossbarState) -> Result<(), String> {
         let n = self.rows * self.cols;
-        assert_eq!(state.cells.len(), n, "cell state population mismatch");
-        assert_eq!(state.eff.len(), n, "eff state population mismatch");
-        assert_eq!(state.row_enabled.len(), self.rows, "row_enabled state length mismatch");
-        assert_eq!(state.spares.len(), self.spares.len(), "spare count mismatch");
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        ensure(state.cells.len() == n, "cell state population mismatch")?;
+        ensure(state.eff.len() == n, "eff state population mismatch")?;
+        ensure(state.row_enabled.len() == self.rows, "row_enabled state length mismatch")?;
+        ensure(state.spares.len() == self.spares.len(), "spare count mismatch")?;
+        ensure(
+            state.spares.iter().all(|s| s.cells.len() == self.rows),
+            "spare column population mismatch",
+        )?;
         if let Some(map) = &state.row_src {
-            assert_permutation(map, self.rows, "row_src");
+            check_permutation(map, self.rows, "row_src")?;
         }
         if let Some(map) = &state.col_src {
-            assert_permutation(map, self.cols, "col_src");
+            check_permutation(map, self.cols, "col_src")?;
+        }
+        // `DefectMap` keeps one entry per cell in (row, col) order, so
+        // any other list would come back from `export_state` changed.
+        ensure(
+            state.defects.iter().all(|&(r, c, _)| r < self.rows && c < self.cols)
+                && state.defects.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "defect list is not in strictly ascending (row, col) order inside the array",
+        )?;
+        match (self.aging.as_deref_mut(), &state.aging) {
+            (Some(hook), Some(s)) => {
+                ensure(s.golden.len() == n, "golden image population mismatch")?;
+                // The last check: it applies the aging snapshot when it
+                // passes.
+                hook.state.restore(&s.aging)?;
+                hook.golden = s.golden.clone();
+                hook.seen_reads = s.seen_reads;
+                hook.seen_writes = s.seen_writes;
+            }
+            (None, None) => {}
+            _ => return Err("aging attachment mismatch between die and checkpoint".to_string()),
         }
         for (cell, s) in self.cells.iter_mut().zip(&state.cells) {
             *cell = XnorBitCell::from_state(s);
@@ -1564,7 +1577,6 @@ impl Crossbar {
         }
         self.defects = defects;
         for (spare, s) in self.spares.iter_mut().zip(&state.spares) {
-            assert_eq!(s.cells.len(), self.rows, "spare column population mismatch");
             spare.cells.clear();
             spare.cells.extend(s.cells.iter().map(XnorBitCell::from_state));
             spare.used = s.used;
@@ -1574,34 +1586,30 @@ impl Crossbar {
         self.readout.margin_sum = state.margin_sum;
         self.readout.margin_count = state.margin_count;
         self.packed_calls = state.packed_calls;
-        match (self.aging.as_deref_mut(), &state.aging) {
-            (Some(hook), Some(s)) => {
-                assert_eq!(s.golden.len(), n, "golden image population mismatch");
-                hook.state.restore(&s.aging);
-                hook.golden = s.golden.clone();
-                hook.seen_reads = s.seen_reads;
-                hook.seen_writes = s.seen_writes;
-            }
-            (None, None) => {}
-            _ => panic!("aging attachment mismatch between die and checkpoint"),
-        }
         // `eff` was restored verbatim with drift already folded in:
         // rebuild only the derived tables (refresh_eff would re-apply
         // the drift factor a second time).
         self.refresh_wd();
         self.invalidate_packed();
+        Ok(())
     }
 }
 
-/// Panics unless `map` is a permutation of `0..len`.
-fn assert_permutation(map: &[usize], len: usize, name: &str) {
-    assert_eq!(map.len(), len, "{name} length mismatch");
+/// `Err` unless `map` is a permutation of `0..len`.
+fn check_permutation(map: &[usize], len: usize, name: &str) -> Result<(), String> {
+    if map.len() != len {
+        return Err(format!("{name} has {} entries, want {len}", map.len()));
+    }
     let mut seen = vec![false; len];
     for &v in map {
-        assert!(v < len, "{name} entry {v} out of range {len}");
-        assert!(!seen[v], "{name} repeats entry {v}");
-        seen[v] = true;
+        if v >= len {
+            return Err(format!("{name} entry {v} out of range {len}"));
+        }
+        if std::mem::replace(&mut seen[v], true) {
+            return Err(format!("{name} repeats entry {v}"));
+        }
     }
+    Ok(())
 }
 
 /// A quantized-weight crossbar of multi-level cells (`k` MTJs per cell,
@@ -1803,18 +1811,20 @@ impl MlcCrossbar {
     /// Reapplies a captured state onto an array built by the same
     /// deterministic constructor (see [`Crossbar::import_state`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state population disagrees with this array's
-    /// geometry.
-    pub fn import_state(&mut self, state: &MlcCrossbarState) {
-        assert_eq!(state.eff.len(), self.rows * self.cols, "eff state population mismatch");
-        assert_eq!(state.row_enabled.len(), self.rows, "row_enabled state length mismatch");
+    /// Refuses, leaving the array unchanged, a state whose population
+    /// disagrees with this array's geometry.
+    pub fn import_state(&mut self, state: &MlcCrossbarState) -> Result<(), String> {
+        if state.eff.len() != self.rows * self.cols || state.row_enabled.len() != self.rows {
+            return Err("MLC crossbar state population mismatch".to_string());
+        }
         self.eff.copy_from_slice(&state.eff);
         self.row_enabled.copy_from_slice(&state.row_enabled);
         self.counter = state.counter;
         self.readout.margin_sum = state.margin_sum;
         self.readout.margin_count = state.margin_count;
+        Ok(())
     }
 }
 
@@ -2743,7 +2753,7 @@ mod tests {
         let mut b = Crossbar::program_with_spares(&w, 16, 6, 2, &config, &mut rb);
         b.enable_aging(&aging_cfg);
         let state = a.export_state();
-        b.import_state(&state);
+        b.import_state(&state).unwrap();
         assert_eq!(b.export_state(), state, "re-export must reproduce the state");
         assert_eq!(a.defects(), b.defects());
         assert_eq!(a.remap(), b.remap());
@@ -2781,7 +2791,7 @@ mod tests {
         a.set_row_enabled(2, false);
         a.apply_drift(|w| w * 0.97);
         let _ = a.matvec(&[0.5; 8], &mut drive);
-        b.import_state(&a.export_state());
+        b.import_state(&a.export_state()).unwrap();
         let mut da = StdRng::seed_from_u64(44);
         let mut db = StdRng::seed_from_u64(44);
         let ya = a.matvec(&[0.25; 8], &mut da);
@@ -2810,12 +2820,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cell state population mismatch")]
     fn import_state_rejects_wrong_geometry() {
         let mut r = rng();
         let a = Crossbar::program(&[1.0; 4], 2, 2, &ideal(), &mut r);
         let mut b = Crossbar::program(&[1.0; 9], 3, 3, &ideal(), &mut r);
-        b.import_state(&a.export_state());
+        let before = b.export_state();
+        let err = b.import_state(&a.export_state()).unwrap_err();
+        assert!(err.contains("cell state population mismatch"), "{err}");
+        assert_eq!(b.export_state(), before, "a refused state must not be applied");
+    }
+
+    /// `DefectMap` holds one entry per cell in (row, col) order: a list
+    /// it would silently reorder or merge must be refused, not come
+    /// back changed from `export_state`.
+    #[test]
+    fn import_state_rejects_a_defect_list_it_would_normalize() {
+        let mut r = rng();
+        let w = vec![1.0f32; 16];
+        let config = CrossbarConfig { defect_rates: DefectRates::uniform(0.1), ..ideal() };
+        let mut b = Crossbar::program(&w, 4, 4, &config, &mut r);
+        let state = b.export_state();
+        assert!(state.defects.len() >= 2, "the corner must place two defects");
+        let mut repeated = state.clone();
+        repeated.defects.push(*state.defects.last().unwrap());
+        let mut reordered = state.clone();
+        reordered.defects.swap(0, 1);
+        let mut outside = state.clone();
+        outside.defects.push((3, 4, DefectKind::Open));
+        for (label, s) in [("repeated", repeated), ("reordered", reordered), ("outside", outside)] {
+            let err = b.import_state(&s).unwrap_err();
+            assert!(err.contains("defect list"), "{label}: {err}");
+            assert_eq!(b.export_state(), state, "{label}: a refused state must not be applied");
+        }
+        b.import_state(&state).unwrap();
+        assert_eq!(b.export_state(), state);
     }
 
     #[test]

@@ -324,20 +324,23 @@ impl Arbiter {
     /// Reapplies a captured state onto an arbiter built by the same
     /// deterministic constructor.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the bit-source count disagrees (the checkpoint came
-    /// from a differently shaped arbiter).
-    pub fn restore_state(&mut self, state: &ArbiterState) {
-        assert_eq!(
-            state.bit_sources.len(),
-            self.bit_sources.len(),
-            "arbiter bit-source count mismatch"
-        );
+    /// Refuses, leaving the arbiter unchanged, a state whose bit-source
+    /// count disagrees (it came from a differently shaped arbiter).
+    pub fn restore_state(&mut self, state: &ArbiterState) -> Result<(), String> {
+        if state.bit_sources.len() != self.bit_sources.len() {
+            return Err(format!(
+                "arbiter bit-source count mismatch ({} in the state, {} here)",
+                state.bit_sources.len(),
+                self.bit_sources.len()
+            ));
+        }
         for (src, s) in self.bit_sources.iter_mut().zip(&state.bit_sources) {
             src.restore_state(s);
         }
         self.bits_used = state.bits_used;
+        Ok(())
     }
 }
 
@@ -472,16 +475,18 @@ mod tests {
         for _ in 0..25 {
             let _ = a.select(&mut use_rng);
         }
-        b.restore_state(&a.state());
+        b.restore_state(&a.state()).unwrap();
         assert_eq!(a, b, "restored arbiter must equal the source exactly");
     }
 
     #[test]
-    #[should_panic(expected = "bit-source count mismatch")]
     fn arbiter_restore_rejects_shape_mismatch() {
         let mut r = rng();
         let a = Arbiter::new(8, VariedParams::ideal(), &mut r);
         let mut b = Arbiter::new(2, VariedParams::ideal(), &mut r);
-        b.restore_state(&a.state());
+        let before = b.state();
+        let err = b.restore_state(&a.state()).unwrap_err();
+        assert!(err.contains("bit-source count mismatch"), "{err}");
+        assert_eq!(b.state(), before, "a refused state must not be applied");
     }
 }

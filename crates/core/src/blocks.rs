@@ -762,34 +762,44 @@ impl HwBlock {
     /// the same pipeline stage of a twin compiled from the same
     /// constructor inputs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state variant does not match the block kind, or a
-    /// module population differs.
-    pub(crate) fn import_state(&mut self, state: &BlockState) {
+    /// Refuses a state whose variant does not match the block kind, or
+    /// whose crossbar, module or feature populations differ. A block
+    /// with several crossbars may be partly overwritten when a later
+    /// one refuses: import into a copy to keep the original.
+    pub(crate) fn import_state(&mut self, state: &BlockState) -> Result<(), String> {
+        let population = |ok: bool, what: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("checkpoint {what} population mismatch"))
+            }
+        };
         match (self, state) {
             (HwBlock::Conv(b), BlockState::Conv { xbar, local }) => {
-                b.xbar.import_state(xbar);
+                b.xbar.import_state(xbar)?;
                 b.local = *local;
             }
             (HwBlock::Fc(b), BlockState::Fc { xbar, local }) => {
-                b.xbar.import_state(xbar);
+                b.xbar.import_state(xbar)?;
                 b.local = *local;
             }
             (HwBlock::FcSpinBayes(b), BlockState::FcSpinBayes { xbars, arbiter, local }) => {
-                assert_eq!(
-                    b.xbars.len(),
-                    xbars.len(),
-                    "checkpoint SpinBayes instance count mismatch"
-                );
+                population(b.xbars.len() == xbars.len(), "SpinBayes instance")?;
+                b.arbiter.restore_state(arbiter)?;
                 for (x, s) in b.xbars.iter_mut().zip(xbars) {
-                    x.import_state(s);
+                    x.import_state(s)?;
                 }
-                b.arbiter.restore_state(arbiter);
                 b.local = *local;
             }
             (HwBlock::DigitalFc(b), BlockState::DigitalFc { local }) => b.local = *local,
             (HwBlock::Norm(b), BlockState::Norm { mean, var, stats, local }) => {
+                let f = b.gamma.len();
+                population(
+                    mean.len() == f && var.len() == f && stats.mean.len() == stats.m2.len(),
+                    "norm feature",
+                )?;
                 b.mean = mean.clone();
                 b.var = var.clone();
                 b.stats = stats.clone();
@@ -802,7 +812,7 @@ impl HwBlock {
                         be.restore_rng_state(bs);
                     }
                     (None, None) => {}
-                    _ => panic!("checkpoint InvNorm module presence mismatch"),
+                    _ => return Err("checkpoint InvNorm module presence mismatch".to_string()),
                 }
                 b.local = *local;
             }
@@ -810,7 +820,7 @@ impl HwBlock {
                 HwBlock::Dropout(HwDropout::PerNeuron { modules, .. }),
                 BlockState::DropPerNeuron { modules: states },
             ) => {
-                assert_eq!(modules.len(), states.len(), "dropout module population mismatch");
+                population(modules.len() == states.len(), "dropout module")?;
                 for (m, s) in modules.iter_mut().zip(states) {
                     m.restore_rng_state(s);
                 }
@@ -819,7 +829,7 @@ impl HwBlock {
                 HwBlock::Dropout(HwDropout::PerChannel { modules, .. }),
                 BlockState::DropPerChannel { modules: states },
             ) => {
-                assert_eq!(modules.len(), states.len(), "dropout module population mismatch");
+                population(modules.len() == states.len(), "dropout module")?;
                 for (m, s) in modules.iter_mut().zip(states) {
                     m.restore_rng_state(s);
                 }
@@ -837,12 +847,15 @@ impl HwBlock {
             ) => *local = *l,
             (HwBlock::HardTanh | HwBlock::MaxPool(_) | HwBlock::Flatten, BlockState::Stateless) => {
             }
-            (block, state) => panic!(
-                "checkpoint block state '{}' does not match pipeline block '{}'",
-                state.kind(),
-                block.kind()
-            ),
+            (block, state) => {
+                return Err(format!(
+                    "checkpoint block state '{}' does not match pipeline block '{}'",
+                    state.kind(),
+                    block.kind()
+                ))
+            }
         }
+        Ok(())
     }
 }
 

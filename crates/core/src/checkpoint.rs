@@ -34,14 +34,20 @@
 //!  "payload": {...}}
 //! ```
 //!
-//! `f64`/`f32` fields ride the writer's shortest-round-trip `Display`
-//! (bit-exact both ways); `u64` fields are hex *strings* because a JSON
-//! number is an f64 and counters can exceed 2⁵³. Decoding rejects
-//! unknown formats, version skew, and checksum mismatches with a typed
-//! [`CheckpointError`] — a truncated or bit-rotted checkpoint is
-//! refused, never half-applied.
+//! Every captured type has one private `Wire` impl that both writes and
+//! reads it, and a struct-shaped state lists its fields once for both
+//! directions. `f64`/`f32` fields ride the writer's shortest-round-trip
+//! `Display` (bit-exact both ways); `u64` fields are hex *strings*
+//! because a JSON number is an f64 and counters can exceed 2⁵³; `usize`
+//! fields decode only from a non-negative integer below 2⁵³. Decoding
+//! rejects unknown formats, version skew, checksum mismatches and
+//! ill-typed fields with a typed [`CheckpointError`], and restore
+//! imports into copies it swaps in only when every part fits the die:
+//! a truncated, bit-rotted or foreign checkpoint is refused, never
+//! half-applied (the seeded mutation battery below holds
+//! `restore_from_str` to that).
 
-use crate::blocks::BlockState;
+use crate::blocks::{BlockState, FeatureStats};
 use crate::health::MonitorState;
 use crate::json::{parse, Json};
 use crate::model::ModelState;
@@ -75,7 +81,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Not parseable as a checkpoint (bad JSON, missing or ill-typed
-    /// fields).
+    /// fields), or a state that does not fit the die it was restored
+    /// onto.
     Malformed(String),
     /// The `format` discriminator names something else.
     FormatMismatch(String),
@@ -147,28 +154,28 @@ impl Checkpoint {
     pub fn decode(text: &str) -> R<Checkpoint> {
         let root =
             parse(text).map_err(|e| bad(format!("JSON parse error at byte {}", e.offset)))?;
-        let format = str_field(&root, "format")?;
+        let format: String = get(&root, "format")?;
         if format != FORMAT {
-            return Err(CheckpointError::FormatMismatch(format.to_string()));
+            return Err(CheckpointError::FormatMismatch(format));
         }
-        let version = f64_field(&root, "version")? as u64;
+        let version = get::<usize>(&root, "version")? as u64;
         if version != VERSION {
             return Err(CheckpointError::VersionMismatch { found: version });
         }
-        let expected = str_field(&root, "checksum")?.to_string();
-        let payload = field(&root, "payload")?;
+        let expected: String = get(&root, "checksum")?;
+        let payload = root.get("payload").ok_or_else(|| bad("missing field 'payload'"))?;
         let found = format!("{:016x}", fnv1a(payload.to_string().as_bytes()));
         if expected != found {
             return Err(CheckpointError::ChecksumMismatch { expected, found });
         }
-        Ok(Checkpoint { state: decode_supervisor(payload)? })
+        Ok(Checkpoint { state: SupervisorState::take(payload, "payload")? })
     }
 
     /// Serializes a supervisor state under the versioned, checksummed
     /// header. Byte-deterministic: the same state always produces the
     /// same string.
     pub(crate) fn encode_state(state: &SupervisorState) -> String {
-        let payload = encode_supervisor(state);
+        let payload = state.put();
         let checksum = format!("{:016x}", fnv1a(payload.to_string().as_bytes()));
         Json::obj([
             ("format", Json::Str(FORMAT.to_string())),
@@ -180,626 +187,391 @@ impl Checkpoint {
     }
 }
 
-// ---------------------------------------------------------------------
-// Scalar helpers. u64 rides hex strings (JSON numbers are f64 — exact
-// only to 2⁵³); f64/f32 ride the writer's shortest-round-trip Display.
-
-fn ju(x: u64) -> Json {
-    Json::Str(format!("{x:x}"))
+/// One captured type's checkpoint representation, written once for
+/// both directions. `at` names the value (its member key) in decode
+/// errors.
+trait Wire: Sized {
+    fn put(&self) -> Json;
+    fn take(v: &Json, at: &str) -> R<Self>;
 }
 
-fn jpair(p: (f64, f64)) -> Json {
-    Json::Arr(vec![Json::Num(p.0), Json::Num(p.1)])
+/// Decodes member `key` of the object `v`.
+fn get<T: Wire>(v: &Json, key: &str) -> R<T> {
+    T::take(v.get(key).ok_or_else(|| bad(format!("missing field '{key}'")))?, key)
 }
 
-fn jf64s(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
-}
+/// Implements [`Wire`] for a struct as a JSON object of the listed
+/// fields, in order, each under its own name or an `as` key. The
+/// struct literal in `take` does not compile unless every field is
+/// listed; a trailing `check f` runs `f` over the decoded value.
+macro_rules! wire_record {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? } $(check $check:ident)?) => {
+        impl Wire for $ty {
+            fn put(&self) -> Json {
+                Json::obj([$((wire_record!(@key $field $($key)?), self.$field.put())),+])
+            }
 
-fn jf32s(xs: &[f32]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(f64::from(x))).collect())
-}
-
-fn jbools(xs: &[bool]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Bool(x)).collect())
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> R<&'a Json> {
-    v.get(key).ok_or_else(|| bad(format!("missing field '{key}'")))
-}
-
-fn f64_field(v: &Json, key: &str) -> R<f64> {
-    field(v, key)?.as_f64().ok_or_else(|| bad(format!("field '{key}' is not a number")))
-}
-
-fn usize_field(v: &Json, key: &str) -> R<usize> {
-    Ok(f64_field(v, key)? as usize)
-}
-
-fn u64_field(v: &Json, key: &str) -> R<u64> {
-    let s = str_field(v, key)?;
-    u64::from_str_radix(s, 16).map_err(|_| bad(format!("field '{key}' is not a hex u64")))
-}
-
-fn bool_field(v: &Json, key: &str) -> R<bool> {
-    field(v, key)?.as_bool().ok_or_else(|| bad(format!("field '{key}' is not a bool")))
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> R<&'a str> {
-    field(v, key)?.as_str().ok_or_else(|| bad(format!("field '{key}' is not a string")))
-}
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> R<&'a [Json]> {
-    field(v, key)?.as_arr().ok_or_else(|| bad(format!("field '{key}' is not an array")))
-}
-
-fn f64s_field(v: &Json, key: &str) -> R<Vec<f64>> {
-    arr_field(v, key)?
-        .iter()
-        .map(|x| x.as_f64().ok_or_else(|| bad(format!("'{key}' holds a non-number"))))
-        .collect()
-}
-
-fn f32s_field(v: &Json, key: &str) -> R<Vec<f32>> {
-    Ok(f64s_field(v, key)?.into_iter().map(|x| x as f32).collect())
-}
-
-fn bools_field(v: &Json, key: &str) -> R<Vec<bool>> {
-    arr_field(v, key)?
-        .iter()
-        .map(|x| x.as_bool().ok_or_else(|| bad(format!("'{key}' holds a non-bool"))))
-        .collect()
-}
-
-fn pair(v: &Json, ctx: &str) -> R<(f64, f64)> {
-    let items = v.as_arr().ok_or_else(|| bad(format!("'{ctx}' is not a pair")))?;
-    if items.len() != 2 {
-        return Err(bad(format!("'{ctx}' is not a 2-element pair")));
-    }
-    let a = items[0].as_f64().ok_or_else(|| bad(format!("'{ctx}'[0] is not a number")))?;
-    let b = items[1].as_f64().ok_or_else(|| bad(format!("'{ctx}'[1] is not a number")))?;
-    Ok((a, b))
-}
-
-fn pair_field(v: &Json, key: &str) -> R<(f64, f64)> {
-    pair(field(v, key)?, key)
+            fn take(v: &Json, _: &str) -> R<Self> {
+                let state = $ty { $($field: get(v, wire_record!(@key $field $($key)?))?),+ };
+                $($check(&state)?;)?
+                Ok(state)
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------
-// Per-type codecs, leaves first.
+// Scalars, containers and leaf enums.
 
-fn encode_counter(c: &OpCounter) -> Json {
-    Json::obj([
-        ("cell_reads", ju(c.cell_reads)),
-        ("cell_writes", ju(c.cell_writes)),
-        ("sa_evals", ju(c.sa_evals)),
-        ("adc_converts", ju(c.adc_converts)),
-        ("adc_saturations", ju(c.adc_saturations)),
-        ("rng_bits", ju(c.rng_bits)),
-        ("sram_accesses", ju(c.sram_accesses)),
-        ("digital_ops", ju(c.digital_ops)),
-    ])
-}
+impl Wire for f64 {
+    fn put(&self) -> Json {
+        Json::Num(*self)
+    }
 
-fn decode_counter(v: &Json) -> R<OpCounter> {
-    Ok(OpCounter {
-        cell_reads: u64_field(v, "cell_reads")?,
-        cell_writes: u64_field(v, "cell_writes")?,
-        sa_evals: u64_field(v, "sa_evals")?,
-        adc_converts: u64_field(v, "adc_converts")?,
-        adc_saturations: u64_field(v, "adc_saturations")?,
-        rng_bits: u64_field(v, "rng_bits")?,
-        sram_accesses: u64_field(v, "sram_accesses")?,
-        digital_ops: u64_field(v, "digital_ops")?,
-    })
-}
-
-fn encode_rng(s: &SpinRngState) -> Json {
-    Json::obj([
-        ("bias_current", Json::Num(s.bias_current)),
-        ("target_p", Json::Num(s.target_p)),
-        ("bits_generated", ju(s.bits_generated)),
-    ])
-}
-
-fn decode_rng(v: &Json) -> R<SpinRngState> {
-    Ok(SpinRngState {
-        bias_current: f64_field(v, "bias_current")?,
-        target_p: f64_field(v, "target_p")?,
-        bits_generated: u64_field(v, "bits_generated")?,
-    })
-}
-
-fn encode_rngs(states: &[SpinRngState]) -> Json {
-    Json::Arr(states.iter().map(encode_rng).collect())
-}
-
-fn decode_rngs(v: &Json, key: &str) -> R<Vec<SpinRngState>> {
-    arr_field(v, key)?.iter().map(decode_rng).collect()
-}
-
-fn encode_defect(kind: Option<DefectKind>) -> Json {
-    match kind {
-        None => Json::Null,
-        Some(k) => Json::Num(k.index() as f64),
+    fn take(v: &Json, at: &str) -> R<f64> {
+        v.as_f64().ok_or_else(|| bad(format!("'{at}' is not a number")))
     }
 }
 
-fn decode_defect(v: &Json, ctx: &str) -> R<Option<DefectKind>> {
-    match v {
-        Json::Null => Ok(None),
-        _ => {
-            let i = v.as_f64().ok_or_else(|| bad(format!("'{ctx}' is not a defect index")))?
-                as usize;
-            DefectKind::ALL
-                .get(i)
-                .copied()
-                .map(Some)
-                .ok_or_else(|| bad(format!("'{ctx}' defect index {i} out of range")))
+/// Written as an f64 (exact); a value past f32's range is refused
+/// rather than decoded to an infinity the writer cannot emit.
+impl Wire for f32 {
+    fn put(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+
+    fn take(v: &Json, at: &str) -> R<f32> {
+        let x = f64::take(v, at)? as f32;
+        if x.is_finite() {
+            Ok(x)
+        } else {
+            Err(bad(format!("'{at}' is out of f32 range")))
         }
     }
 }
 
-fn encode_cell(c: &XnorCellState) -> Json {
-    Json::obj([
-        ("plus_levels", jpair(c.plus_levels)),
-        ("minus_levels", jpair(c.minus_levels)),
-        ("sign", Json::Bool(c.sign)),
-        ("plus_defect", encode_defect(c.plus_defect)),
-        ("minus_defect", encode_defect(c.minus_defect)),
-        ("reference", jpair(c.reference)),
-    ])
-}
+/// A JSON number, decoded only from a non-negative integer below 2⁵³
+/// (past which an f64 skips integers).
+impl Wire for usize {
+    fn put(&self) -> Json {
+        Json::Num(*self as f64)
+    }
 
-fn decode_cell(v: &Json) -> R<XnorCellState> {
-    Ok(XnorCellState {
-        plus_levels: pair_field(v, "plus_levels")?,
-        minus_levels: pair_field(v, "minus_levels")?,
-        sign: bool_field(v, "sign")?,
-        plus_defect: decode_defect(field(v, "plus_defect")?, "plus_defect")?,
-        minus_defect: decode_defect(field(v, "minus_defect")?, "minus_defect")?,
-        reference: pair_field(v, "reference")?,
-    })
-}
-
-fn encode_cells(cells: &[XnorCellState]) -> Json {
-    Json::Arr(cells.iter().map(encode_cell).collect())
-}
-
-fn decode_cells(v: &Json, key: &str) -> R<Vec<XnorCellState>> {
-    arr_field(v, key)?.iter().map(decode_cell).collect()
-}
-
-fn encode_aging_snapshot(s: &AgingSnapshot) -> Json {
-    Json::obj([
-        ("now_hours", Json::Num(s.now_hours)),
-        ("epoch", ju(s.epoch)),
-        ("cum_writes", Json::Num(s.cum_writes)),
-        ("lifetimes", jf64s(&s.lifetimes)),
-        ("drift", jf64s(&s.drift)),
-        ("worn", jbools(&s.worn)),
-    ])
-}
-
-fn decode_aging_snapshot(v: &Json) -> R<AgingSnapshot> {
-    Ok(AgingSnapshot {
-        now_hours: f64_field(v, "now_hours")?,
-        epoch: u64_field(v, "epoch")?,
-        cum_writes: f64_field(v, "cum_writes")?,
-        lifetimes: f64s_field(v, "lifetimes")?,
-        drift: f64s_field(v, "drift")?,
-        worn: bools_field(v, "worn")?,
-    })
-}
-
-fn encode_aging_hook(h: &AgingHookState) -> Json {
-    Json::obj([
-        ("aging", encode_aging_snapshot(&h.aging)),
-        ("golden", jf32s(&h.golden)),
-        ("seen_reads", ju(h.seen_reads)),
-        ("seen_writes", ju(h.seen_writes)),
-    ])
-}
-
-fn decode_aging_hook(v: &Json) -> R<AgingHookState> {
-    Ok(AgingHookState {
-        aging: decode_aging_snapshot(field(v, "aging")?)?,
-        golden: f32s_field(v, "golden")?,
-        seen_reads: u64_field(v, "seen_reads")?,
-        seen_writes: u64_field(v, "seen_writes")?,
-    })
-}
-
-fn encode_spare(s: &SpareColumnState) -> Json {
-    Json::obj([("cells", encode_cells(&s.cells)), ("used", Json::Bool(s.used))])
-}
-
-fn decode_spare(v: &Json) -> R<SpareColumnState> {
-    Ok(SpareColumnState { cells: decode_cells(v, "cells")?, used: bool_field(v, "used")? })
-}
-
-fn encode_remap(map: &Option<Vec<usize>>) -> Json {
-    match map {
-        None => Json::Null,
-        Some(m) => Json::Arr(m.iter().map(|&i| Json::Num(i as f64)).collect()),
+    fn take(v: &Json, at: &str) -> R<usize> {
+        match v.as_f64() {
+            Some(x) if x >= 0.0 && x.fract() == 0.0 && x < 9_007_199_254_740_992.0 => {
+                Ok(x as usize)
+            }
+            _ => Err(bad(format!("'{at}' is not an index below 2^53"))),
+        }
     }
 }
 
-fn decode_remap(v: &Json, ctx: &str) -> R<Option<Vec<usize>>> {
-    match v {
-        Json::Null => Ok(None),
-        Json::Arr(items) => items
-            .iter()
-            .map(|x| {
-                x.as_f64()
-                    .map(|f| f as usize)
-                    .ok_or_else(|| bad(format!("'{ctx}' holds a non-number")))
-            })
-            .collect::<R<Vec<usize>>>()
-            .map(Some),
-        _ => Err(bad(format!("'{ctx}' is neither null nor an array"))),
+/// A lower-case hex string, exact over the whole range.
+impl Wire for u64 {
+    fn put(&self) -> Json {
+        Json::Str(format!("{self:x}"))
+    }
+
+    fn take(v: &Json, at: &str) -> R<u64> {
+        v.as_str()
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| bad(format!("'{at}' is not a hex u64")))
     }
 }
 
-fn encode_crossbar(s: &CrossbarState) -> Json {
-    Json::obj([
-        ("cells", encode_cells(&s.cells)),
-        ("eff", jf64s(&s.eff)),
-        ("row_enabled", jbools(&s.row_enabled)),
-        ("counter", encode_counter(&s.counter)),
-        (
-            "defects",
-            Json::Arr(
-                s.defects
-                    .iter()
-                    .map(|&(r, c, k)| {
-                        Json::Arr(vec![
-                            Json::Num(r as f64),
-                            Json::Num(c as f64),
-                            Json::Num(k.index() as f64),
-                        ])
-                    })
-                    .collect(),
+impl Wire for bool {
+    fn put(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn take(v: &Json, at: &str) -> R<bool> {
+        v.as_bool().ok_or_else(|| bad(format!("'{at}' is not a bool")))
+    }
+}
+
+impl Wire for String {
+    fn put(&self) -> Json {
+        Json::Str(self.clone())
+    }
+
+    fn take(v: &Json, at: &str) -> R<String> {
+        v.as_str().map(str::to_string).ok_or_else(|| bad(format!("'{at}' is not a string")))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self) -> Json {
+        Json::Arr(self.iter().map(Wire::put).collect())
+    }
+
+    fn take(v: &Json, at: &str) -> R<Vec<T>> {
+        let items = v.as_arr().ok_or_else(|| bad(format!("'{at}' is not an array")))?;
+        items.iter().map(|x| T::take(x, at)).collect()
+    }
+}
+
+/// `null` when absent.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Wire::put)
+    }
+
+    fn take(v: &Json, at: &str) -> R<Option<T>> {
+        match v {
+            Json::Null => Ok(None),
+            _ => T::take(v, at).map(Some),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self) -> Json {
+        Json::Arr(vec![self.0.put(), self.1.put()])
+    }
+
+    fn take(v: &Json, at: &str) -> R<(A, B)> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::take(a, at)?, B::take(b, at)?)),
+            _ => Err(bad(format!("'{at}' is not a 2-element array"))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self) -> Json {
+        Json::Arr(vec![self.0.put(), self.1.put(), self.2.put()])
+    }
+
+    fn take(v: &Json, at: &str) -> R<(A, B, C)> {
+        match v.as_arr() {
+            Some([a, b, c]) => Ok((A::take(a, at)?, B::take(b, at)?, C::take(c, at)?)),
+            _ => Err(bad(format!("'{at}' is not a 3-element array"))),
+        }
+    }
+}
+
+/// Its [`DefectKind::index`].
+impl Wire for DefectKind {
+    fn put(&self) -> Json {
+        self.index().put()
+    }
+
+    fn take(v: &Json, at: &str) -> R<DefectKind> {
+        let i = usize::take(v, at)?;
+        DefectKind::ALL
+            .get(i)
+            .copied()
+            .ok_or_else(|| bad(format!("'{at}' defect kind {i} is out of range")))
+    }
+}
+
+/// Its [`HealthPolicy::tier_index`].
+impl Wire for HealthPolicy {
+    fn put(&self) -> Json {
+        (self.tier_index() as usize).put()
+    }
+
+    fn take(v: &Json, at: &str) -> R<HealthPolicy> {
+        let tier = usize::take(v, at)?;
+        let policy = HealthPolicy::from_tier_index(u32::try_from(tier).unwrap_or(u32::MAX));
+        if policy.tier_index() as usize == tier {
+            Ok(policy)
+        } else {
+            Err(bad(format!("'{at}' tier {tier} is out of range")))
+        }
+    }
+}
+
+/// Its `Display` name.
+impl Wire for RecoveryAction {
+    fn put(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+
+    fn take(v: &Json, at: &str) -> R<RecoveryAction> {
+        let name = String::take(v, at)?;
+        [
+            RecoveryAction::Scrub,
+            RecoveryAction::Recalibrate,
+            RecoveryAction::RemapTier,
+            RecoveryAction::Abstain,
+        ]
+        .into_iter()
+        .find(|a| a.to_string() == name)
+        .ok_or_else(|| bad(format!("unknown recovery action '{name}'")))
+    }
+}
+
+impl Wire for Joules {
+    fn put(&self) -> Json {
+        self.0.put()
+    }
+
+    fn take(v: &Json, at: &str) -> R<Joules> {
+        f64::take(v, at).map(Joules)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The captured state types, leaves first.
+
+wire_record!(OpCounter {
+    cell_reads, cell_writes, sa_evals, adc_converts, adc_saturations, rng_bits, sram_accesses,
+    digital_ops,
+});
+wire_record!(SpinRngState { bias_current, target_p, bits_generated });
+wire_record!(XnorCellState {
+    plus_levels, minus_levels, sign, plus_defect, minus_defect, reference,
+});
+wire_record!(AgingSnapshot { now_hours, epoch, cum_writes, lifetimes, drift, worn });
+wire_record!(AgingHookState { aging, golden, seen_reads, seen_writes });
+wire_record!(SpareColumnState { cells, used });
+wire_record!(CrossbarState {
+    cells, eff, row_enabled, counter, defects, spares, row_src, col_src, margin_sum, margin_count,
+    packed_calls, aging,
+} check defects_in_geometry);
+wire_record!(MlcCrossbarState { eff, row_enabled, counter, margin_sum, margin_count });
+wire_record!(ArbiterState { bit_sources, bits_used });
+wire_record!(ModelState { blocks, baseline, extra });
+wire_record!(MonitorState { abstain_entropy, window, baseline, latched, pending, pending_count });
+wire_record!(RecoveryEvent {
+    at_hours, step, action, policy, cells_refreshed, flagged, repaired, energy as "energy_j",
+});
+
+/// Bounds every defect coordinate by the geometry the state itself
+/// carries (rows = `row_enabled.len()`, cols = `cells.len() / rows`).
+fn defects_in_geometry(s: &CrossbarState) -> R<()> {
+    let rows = s.row_enabled.len();
+    let cols = s.cells.len().checked_div(rows).unwrap_or(0);
+    match s.defects.iter().position(|&(r, c, _)| r >= rows || c >= cols) {
+        Some(i) => Err(bad(format!("defect {i} is not an index below ({rows}, {cols})"))),
+        None => Ok(()),
+    }
+}
+
+/// Tagged by a `"kind"` member; a norm block flattens its
+/// [`FeatureStats`] into `stats_count` / `stats_mean` / `stats_m2`.
+impl Wire for BlockState {
+    fn put(&self) -> Json {
+        let (kind, fields) = match self {
+            BlockState::Conv { xbar, local } => {
+                ("conv", vec![("xbar", xbar.put()), ("local", local.put())])
+            }
+            BlockState::Fc { xbar, local } => {
+                ("fc", vec![("xbar", xbar.put()), ("local", local.put())])
+            }
+            BlockState::FcSpinBayes { xbars, arbiter, local } => (
+                "fc_spinbayes",
+                vec![("xbars", xbars.put()), ("arbiter", arbiter.put()), ("local", local.put())],
             ),
-        ),
-        ("spares", Json::Arr(s.spares.iter().map(encode_spare).collect())),
-        ("row_src", encode_remap(&s.row_src)),
-        ("col_src", encode_remap(&s.col_src)),
-        ("margin_sum", Json::Num(s.margin_sum)),
-        ("margin_count", ju(s.margin_count)),
-        ("packed_calls", ju(s.packed_calls)),
-        ("aging", s.aging.as_ref().map_or(Json::Null, encode_aging_hook)),
-    ])
-}
-
-/// Decodes one defect coordinate: a non-negative integer below `len`.
-fn defect_coord(v: &Json, len: usize, what: &str, i: usize) -> R<usize> {
-    match v.as_f64() {
-        Some(f) if f >= 0.0 && f.fract() == 0.0 && f < len as f64 => Ok(f as usize),
-        _ => Err(bad(format!("defect {i} {what} is not an index below {len}"))),
-    }
-}
-
-fn decode_crossbar(v: &Json) -> R<CrossbarState> {
-    let cells = decode_cells(v, "cells")?;
-    let row_enabled = bools_field(v, "row_enabled")?;
-    // A defect outside the array would panic in `Crossbar::import_state`
-    // after the checksum passed: bound every coordinate by the geometry
-    // the state itself carries.
-    let rows = row_enabled.len();
-    let cols = cells.len().checked_div(rows).unwrap_or(0);
-    let mut defects = Vec::new();
-    for (i, item) in arr_field(v, "defects")?.iter().enumerate() {
-        let triple = item.as_arr().ok_or_else(|| bad(format!("defect {i} is not a triple")))?;
-        if triple.len() != 3 {
-            return Err(bad(format!("defect {i} is not a 3-element triple")));
-        }
-        let r = defect_coord(&triple[0], rows, "row", i)?;
-        let c = defect_coord(&triple[1], cols, "col", i)?;
-        let k = decode_defect(&triple[2], "defect kind")?
-            .ok_or_else(|| bad(format!("defect {i} has a null kind")))?;
-        defects.push((r, c, k));
-    }
-    let aging = match field(v, "aging")? {
-        Json::Null => None,
-        hook => Some(decode_aging_hook(hook)?),
-    };
-    Ok(CrossbarState {
-        cells,
-        eff: f64s_field(v, "eff")?,
-        row_enabled,
-        counter: decode_counter(field(v, "counter")?)?,
-        defects,
-        spares: arr_field(v, "spares")?.iter().map(decode_spare).collect::<R<Vec<_>>>()?,
-        row_src: decode_remap(field(v, "row_src")?, "row_src")?,
-        col_src: decode_remap(field(v, "col_src")?, "col_src")?,
-        margin_sum: f64_field(v, "margin_sum")?,
-        margin_count: u64_field(v, "margin_count")?,
-        packed_calls: u64_field(v, "packed_calls")?,
-        aging,
-    })
-}
-
-fn encode_mlc(s: &MlcCrossbarState) -> Json {
-    Json::obj([
-        ("eff", jf64s(&s.eff)),
-        ("row_enabled", jbools(&s.row_enabled)),
-        ("counter", encode_counter(&s.counter)),
-        ("margin_sum", Json::Num(s.margin_sum)),
-        ("margin_count", ju(s.margin_count)),
-    ])
-}
-
-fn decode_mlc(v: &Json) -> R<MlcCrossbarState> {
-    Ok(MlcCrossbarState {
-        eff: f64s_field(v, "eff")?,
-        row_enabled: bools_field(v, "row_enabled")?,
-        counter: decode_counter(field(v, "counter")?)?,
-        margin_sum: f64_field(v, "margin_sum")?,
-        margin_count: u64_field(v, "margin_count")?,
-    })
-}
-
-fn encode_arbiter(s: &ArbiterState) -> Json {
-    Json::obj([("bit_sources", encode_rngs(&s.bit_sources)), ("bits_used", ju(s.bits_used))])
-}
-
-fn decode_arbiter(v: &Json) -> R<ArbiterState> {
-    Ok(ArbiterState {
-        bit_sources: decode_rngs(v, "bit_sources")?,
-        bits_used: u64_field(v, "bits_used")?,
-    })
-}
-
-fn encode_block(state: &BlockState) -> Json {
-    let tag = |kind: &str| ("kind", Json::Str(kind.to_string()));
-    match state {
-        BlockState::Conv { xbar, local } => {
-            Json::obj([tag("conv"), ("xbar", encode_crossbar(xbar)), ("local", encode_counter(local))])
-        }
-        BlockState::Fc { xbar, local } => {
-            Json::obj([tag("fc"), ("xbar", encode_crossbar(xbar)), ("local", encode_counter(local))])
-        }
-        BlockState::FcSpinBayes { xbars, arbiter, local } => Json::obj([
-            tag("fc_spinbayes"),
-            ("xbars", Json::Arr(xbars.iter().map(encode_mlc).collect())),
-            ("arbiter", encode_arbiter(arbiter)),
-            ("local", encode_counter(local)),
-        ]),
-        BlockState::DigitalFc { local } => {
-            Json::obj([tag("digital_fc"), ("local", encode_counter(local))])
-        }
-        BlockState::Norm { mean, var, stats, local } => Json::obj([
-            tag("norm"),
-            ("mean", jf32s(mean)),
-            ("var", jf32s(var)),
-            ("stats_count", ju(stats.count)),
-            ("stats_mean", jf64s(&stats.mean)),
-            ("stats_m2", jf64s(&stats.m2)),
-            ("local", encode_counter(local)),
-        ]),
-        BlockState::InvNorm { modules, local } => Json::obj([
-            tag("inv_norm"),
-            (
-                "modules",
-                modules.as_ref().map_or(Json::Null, |(g, b)| {
-                    Json::Arr(vec![encode_rng(g), encode_rng(b)])
-                }),
+            BlockState::DigitalFc { local } => ("digital_fc", vec![("local", local.put())]),
+            BlockState::Norm { mean, var, stats, local } => (
+                "norm",
+                vec![
+                    ("mean", mean.put()),
+                    ("var", var.put()),
+                    ("stats_count", stats.count.put()),
+                    ("stats_mean", stats.mean.put()),
+                    ("stats_m2", stats.m2.put()),
+                    ("local", local.put()),
+                ],
             ),
-            ("local", encode_counter(local)),
-        ]),
-        BlockState::DropPerNeuron { modules } => {
-            Json::obj([tag("drop_per_neuron"), ("modules", encode_rngs(modules))])
-        }
-        BlockState::DropPerChannel { modules } => {
-            Json::obj([tag("drop_per_channel"), ("modules", encode_rngs(modules))])
-        }
-        BlockState::DropScale { module, local } => Json::obj([
-            tag("drop_scale"),
-            ("module", encode_rng(module)),
-            ("local", encode_counter(local)),
-        ]),
-        BlockState::DropViScale { local } => {
-            Json::obj([tag("drop_vi_scale"), ("local", encode_counter(local))])
-        }
-        BlockState::Stateless => Json::obj([tag("stateless")]),
+            BlockState::InvNorm { modules, local } => {
+                ("inv_norm", vec![("modules", modules.put()), ("local", local.put())])
+            }
+            BlockState::DropPerNeuron { modules } => {
+                ("drop_per_neuron", vec![("modules", modules.put())])
+            }
+            BlockState::DropPerChannel { modules } => {
+                ("drop_per_channel", vec![("modules", modules.put())])
+            }
+            BlockState::DropScale { module, local } => {
+                ("drop_scale", vec![("module", module.put()), ("local", local.put())])
+            }
+            BlockState::DropViScale { local } => ("drop_vi_scale", vec![("local", local.put())]),
+            BlockState::Stateless => ("stateless", vec![]),
+        };
+        Json::obj(std::iter::once(("kind", Json::Str(kind.to_string()))).chain(fields))
     }
-}
 
-fn decode_block(v: &Json) -> R<BlockState> {
-    let kind = str_field(v, "kind")?;
-    Ok(match kind {
-        "conv" => BlockState::Conv {
-            xbar: decode_crossbar(field(v, "xbar")?)?,
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "fc" => BlockState::Fc {
-            xbar: decode_crossbar(field(v, "xbar")?)?,
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "fc_spinbayes" => BlockState::FcSpinBayes {
-            xbars: arr_field(v, "xbars")?.iter().map(decode_mlc).collect::<R<Vec<_>>>()?,
-            arbiter: decode_arbiter(field(v, "arbiter")?)?,
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "digital_fc" => BlockState::DigitalFc { local: decode_counter(field(v, "local")?)? },
-        "norm" => BlockState::Norm {
-            mean: f32s_field(v, "mean")?,
-            var: f32s_field(v, "var")?,
-            stats: crate::blocks::FeatureStats {
-                count: u64_field(v, "stats_count")?,
-                mean: f64s_field(v, "stats_mean")?,
-                m2: f64s_field(v, "stats_m2")?,
+    fn take(v: &Json, _: &str) -> R<BlockState> {
+        Ok(match get::<String>(v, "kind")?.as_str() {
+            "conv" => BlockState::Conv { xbar: get(v, "xbar")?, local: get(v, "local")? },
+            "fc" => BlockState::Fc { xbar: get(v, "xbar")?, local: get(v, "local")? },
+            "fc_spinbayes" => BlockState::FcSpinBayes {
+                xbars: get(v, "xbars")?,
+                arbiter: get(v, "arbiter")?,
+                local: get(v, "local")?,
             },
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "inv_norm" => BlockState::InvNorm {
-            modules: match field(v, "modules")? {
-                Json::Null => None,
-                arr => {
-                    let items =
-                        arr.as_arr().ok_or_else(|| bad("inv_norm modules is not an array"))?;
-                    if items.len() != 2 {
-                        return Err(bad("inv_norm modules must hold exactly 2 states"));
-                    }
-                    Some((decode_rng(&items[0])?, decode_rng(&items[1])?))
-                }
+            "digital_fc" => BlockState::DigitalFc { local: get(v, "local")? },
+            "norm" => BlockState::Norm {
+                mean: get(v, "mean")?,
+                var: get(v, "var")?,
+                stats: FeatureStats {
+                    count: get(v, "stats_count")?,
+                    mean: get(v, "stats_mean")?,
+                    m2: get(v, "stats_m2")?,
+                },
+                local: get(v, "local")?,
             },
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "drop_per_neuron" => BlockState::DropPerNeuron { modules: decode_rngs(v, "modules")? },
-        "drop_per_channel" => BlockState::DropPerChannel { modules: decode_rngs(v, "modules")? },
-        "drop_scale" => BlockState::DropScale {
-            module: decode_rng(field(v, "module")?)?,
-            local: decode_counter(field(v, "local")?)?,
-        },
-        "drop_vi_scale" => BlockState::DropViScale { local: decode_counter(field(v, "local")?)? },
-        "stateless" => BlockState::Stateless,
-        other => return Err(bad(format!("unknown block kind '{other}'"))),
-    })
-}
-
-fn encode_model(state: &ModelState) -> Json {
-    Json::obj([
-        ("blocks", Json::Arr(state.blocks.iter().map(encode_block).collect())),
-        ("baseline", encode_counter(&state.baseline)),
-        ("extra", encode_counter(&state.extra)),
-    ])
-}
-
-fn decode_model(v: &Json) -> R<ModelState> {
-    Ok(ModelState {
-        blocks: arr_field(v, "blocks")?.iter().map(decode_block).collect::<R<Vec<_>>>()?,
-        baseline: decode_counter(field(v, "baseline")?)?,
-        extra: decode_counter(field(v, "extra")?)?,
-    })
-}
-
-fn encode_policy(p: HealthPolicy) -> Json {
-    Json::Num(f64::from(p.tier_index()))
-}
-
-fn decode_policy(v: &Json, ctx: &str) -> R<HealthPolicy> {
-    let tier = v.as_f64().ok_or_else(|| bad(format!("'{ctx}' is not a tier number")))? as u32;
-    Ok(HealthPolicy::from_tier_index(tier))
-}
-
-fn encode_monitor(state: &MonitorState) -> Json {
-    Json::obj([
-        ("abstain_entropy", Json::Num(state.abstain_entropy)),
-        ("window", Json::Arr(state.window.iter().map(|&p| jpair(p)).collect())),
-        ("baseline", state.baseline.map_or(Json::Null, jpair)),
-        ("latched", encode_policy(state.latched)),
-        ("pending", encode_policy(state.pending)),
-        ("pending_count", Json::Num(state.pending_count as f64)),
-    ])
-}
-
-fn decode_monitor(v: &Json) -> R<MonitorState> {
-    let window = arr_field(v, "window")?
-        .iter()
-        .map(|p| pair(p, "window entry"))
-        .collect::<R<Vec<_>>>()?;
-    let baseline = match field(v, "baseline")? {
-        Json::Null => None,
-        p => Some(pair(p, "baseline")?),
-    };
-    Ok(MonitorState {
-        abstain_entropy: f64_field(v, "abstain_entropy")?,
-        window,
-        baseline,
-        latched: decode_policy(field(v, "latched")?, "latched")?,
-        pending: decode_policy(field(v, "pending")?, "pending")?,
-        pending_count: usize_field(v, "pending_count")?,
-    })
-}
-
-fn encode_action(a: RecoveryAction) -> Json {
-    Json::Str(a.to_string())
-}
-
-fn decode_action(v: &Json, ctx: &str) -> R<RecoveryAction> {
-    match v.as_str().ok_or_else(|| bad(format!("'{ctx}' is not an action string")))? {
-        "scrub" => Ok(RecoveryAction::Scrub),
-        "recalibrate" => Ok(RecoveryAction::Recalibrate),
-        "remap_tier" => Ok(RecoveryAction::RemapTier),
-        "abstain" => Ok(RecoveryAction::Abstain),
-        other => Err(bad(format!("unknown recovery action '{other}'"))),
-    }
-}
-
-fn encode_event(e: &RecoveryEvent) -> Json {
-    Json::obj([
-        ("at_hours", Json::Num(e.at_hours)),
-        ("step", Json::Num(e.step as f64)),
-        ("action", encode_action(e.action)),
-        ("policy", encode_policy(e.policy)),
-        ("cells_refreshed", Json::Num(e.cells_refreshed as f64)),
-        ("flagged", Json::Num(e.flagged as f64)),
-        ("repaired", Json::Num(e.repaired as f64)),
-        ("energy_j", Json::Num(e.energy.0)),
-    ])
-}
-
-fn decode_event(v: &Json) -> R<RecoveryEvent> {
-    Ok(RecoveryEvent {
-        at_hours: f64_field(v, "at_hours")?,
-        step: usize_field(v, "step")?,
-        action: decode_action(field(v, "action")?, "action")?,
-        policy: decode_policy(field(v, "policy")?, "policy")?,
-        cells_refreshed: usize_field(v, "cells_refreshed")?,
-        flagged: usize_field(v, "flagged")?,
-        repaired: usize_field(v, "repaired")?,
-        energy: Joules(f64_field(v, "energy_j")?),
-    })
-}
-
-fn encode_supervisor(state: &SupervisorState) -> Json {
-    Json::obj([
-        ("model", encode_model(&state.model)),
-        ("monitor", encode_monitor(&state.monitor)),
-        (
-            "calib_shape",
-            Json::Arr(state.calib.shape().iter().map(|&d| Json::Num(d as f64)).collect()),
-        ),
-        ("calib_data", jf32s(state.calib.as_slice())),
-        ("now_hours", Json::Num(state.now_hours)),
-        ("last_scrub_hours", Json::Num(state.last_scrub_hours)),
-        ("step", Json::Num(state.step as f64)),
-        ("engaged_tier", encode_policy(state.engaged_tier)),
-        ("commissioned", Json::Bool(state.commissioned)),
-        ("events", Json::Arr(state.events.iter().map(encode_event).collect())),
-    ])
-}
-
-fn decode_supervisor(v: &Json) -> R<SupervisorState> {
-    let shape = arr_field(v, "calib_shape")?
-        .iter()
-        .map(|d| {
-            d.as_f64().map(|f| f as usize).ok_or_else(|| bad("calib_shape holds a non-number"))
+            "inv_norm" => {
+                BlockState::InvNorm { modules: get(v, "modules")?, local: get(v, "local")? }
+            }
+            "drop_per_neuron" => BlockState::DropPerNeuron { modules: get(v, "modules")? },
+            "drop_per_channel" => BlockState::DropPerChannel { modules: get(v, "modules")? },
+            "drop_scale" => {
+                BlockState::DropScale { module: get(v, "module")?, local: get(v, "local")? }
+            }
+            "drop_vi_scale" => BlockState::DropViScale { local: get(v, "local")? },
+            "stateless" => BlockState::Stateless,
+            other => return Err(bad(format!("unknown block kind '{other}'"))),
         })
-        .collect::<R<Vec<usize>>>()?;
-    let data = f32s_field(v, "calib_data")?;
-    if shape.iter().product::<usize>() != data.len() {
-        return Err(bad(format!(
-            "calib tensor shape {:?} does not match {} data elements",
-            shape,
-            data.len()
-        )));
     }
-    Ok(SupervisorState {
-        model: decode_model(field(v, "model")?)?,
-        monitor: decode_monitor(field(v, "monitor")?)?,
-        calib: Tensor::from_vec(data, &shape),
-        now_hours: f64_field(v, "now_hours")?,
-        last_scrub_hours: f64_field(v, "last_scrub_hours")?,
-        step: usize_field(v, "step")?,
-        engaged_tier: decode_policy(field(v, "engaged_tier")?, "engaged_tier")?,
-        commissioned: bool_field(v, "commissioned")?,
-        events: arr_field(v, "events")?.iter().map(decode_event).collect::<R<Vec<_>>>()?,
-    })
 }
 
+/// The calibration tensor rides as `calib_shape` plus `calib_data`.
+impl Wire for SupervisorState {
+    fn put(&self) -> Json {
+        Json::obj([
+            ("model", self.model.put()),
+            ("monitor", self.monitor.put()),
+            ("calib_shape", Json::Arr(self.calib.shape().iter().map(Wire::put).collect())),
+            ("calib_data", Json::Arr(self.calib.as_slice().iter().map(Wire::put).collect())),
+            ("now_hours", self.now_hours.put()),
+            ("last_scrub_hours", self.last_scrub_hours.put()),
+            ("step", self.step.put()),
+            ("engaged_tier", self.engaged_tier.put()),
+            ("commissioned", self.commissioned.put()),
+            ("events", self.events.put()),
+        ])
+    }
+
+    fn take(v: &Json, _: &str) -> R<SupervisorState> {
+        let shape: Vec<usize> = get(v, "calib_shape")?;
+        let data: Vec<f32> = get(v, "calib_data")?;
+        if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(data.len()) {
+            return Err(bad(format!(
+                "calib tensor shape {:?} does not match {} data elements",
+                shape,
+                data.len()
+            )));
+        }
+        Ok(SupervisorState {
+            model: get(v, "model")?,
+            monitor: get(v, "monitor")?,
+            calib: Tensor::from_vec(data, &shape),
+            now_hours: get(v, "now_hours")?,
+            last_scrub_hours: get(v, "last_scrub_hours")?,
+            step: get(v, "step")?,
+            engaged_tier: get(v, "engaged_tier")?,
+            commissioned: get(v, "commissioned")?,
+            events: get(v, "events")?,
+        })
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,7 +583,7 @@ mod tests {
     use neuspin_cim::{BistConfig, CrossbarConfig};
     use neuspin_device::{AgingConfig, DefectRates};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{SeedableRng, SplitMix64};
 
     fn assert_pred_eq(a: &Predictive, b: &Predictive, label: &str) {
         assert_eq!(a.passes, b.passes, "{label}: pass count diverged");
@@ -845,6 +617,11 @@ mod tests {
     /// the die (weights, geometry, defects, spares, config, seeds) —
     /// and nothing mutable (no commissioning, no lifetime).
     fn build_die(case: &Case) -> Supervisor {
+        build_method_die(Method::SpinDrop, case)
+    }
+
+    /// [`build_die`] for any method.
+    fn build_method_die(method: Method, case: &Case) -> Supervisor {
         let arch = ArchConfig {
             c1: 2,
             c2: 4,
@@ -854,7 +631,7 @@ mod tests {
             ..ArchConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(case.seed);
-        let mut sw = build_cnn(Method::SpinDrop, &arch, &mut rng);
+        let mut sw = build_cnn(method, &arch, &mut rng);
         let config = HardwareConfig {
             crossbar: CrossbarConfig {
                 defect_rates: if case.defects {
@@ -868,7 +645,7 @@ mod tests {
             spare_cols: case.spares,
             ..HardwareConfig::default()
         };
-        let mut hw = HardwareModel::compile(&mut sw, Method::SpinDrop, &arch, &config, &mut rng);
+        let mut hw = HardwareModel::compile(&mut sw, method, &arch, &config, &mut rng);
         if case.defects || case.spares > 0 {
             hw.fault_management(&BistConfig::default(), &mut rng);
         }
@@ -953,7 +730,8 @@ mod tests {
                             );
 
                             let mut b = build_die(&case);
-                            b.restore(&decoded);
+                            b.restore(&decoded)
+                                .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
 
                             let probe = small_inputs(2, seed ^ 0x1111);
                             let ra = a.serve_predict(&probe, seed ^ 7);
@@ -1001,6 +779,21 @@ mod tests {
             }
         }
         panic!("field '{key}' not found");
+    }
+
+    /// Re-serializes `encoded` after `edit` changes its payload, under
+    /// the checksum the edited payload hashes to.
+    fn rehashed(encoded: &str, edit: impl FnOnce(&mut Json)) -> String {
+        tamper(encoded, |p| {
+            let payload = &mut p.iter_mut().find(|(k, _)| k == "payload").expect("payload").1;
+            edit(payload);
+            let checksum = checksum_of(&payload.to_string());
+            set_field(p, "checksum", Json::Str(checksum));
+        })
+    }
+
+    fn checksum_of(payload: &str) -> String {
+        format!("{:016x}", fnv1a(payload.as_bytes()))
     }
 
     #[test]
@@ -1055,18 +848,10 @@ mod tests {
     #[test]
     fn decode_rejects_missing_payload_field_even_with_valid_checksum() {
         let encoded = small_commissioned_supervisor(10).checkpoint();
-        let gutted = tamper(&encoded, |p| {
-            let mut payload = None;
-            for (k, v) in p.iter_mut() {
-                if k == "payload" {
-                    if let Json::Obj(ref mut fields) = v {
-                        fields.retain(|(k, _)| k != "step");
-                    }
-                    payload = Some(v.to_string());
-                }
+        let gutted = rehashed(&encoded, |payload| {
+            if let Json::Obj(fields) = payload {
+                fields.retain(|(k, _)| k != "step");
             }
-            let checksum = format!("{:016x}", fnv1a(payload.expect("payload").as_bytes()));
-            set_field(p, "checksum", Json::Str(checksum));
         });
         assert!(matches!(
             Checkpoint::decode(&gutted),
@@ -1109,16 +894,8 @@ mod tests {
         ];
         for coords in bad_triples {
             let triple = Json::Arr(coords.iter().map(|&x| Json::Num(x)).collect());
-            let tampered = tamper(&donor, |p| {
-                let mut payload = None;
-                for (k, v) in p.iter_mut() {
-                    if k == "payload" {
-                        assert!(push_first_defect(v, &triple), "no defects array in the payload");
-                        payload = Some(v.to_string());
-                    }
-                }
-                let checksum = format!("{:016x}", fnv1a(payload.expect("payload").as_bytes()));
-                set_field(p, "checksum", Json::Str(checksum));
+            let tampered = rehashed(&donor, |payload| {
+                assert!(push_first_defect(payload, &triple), "no defects array in the payload");
             });
             // A diverged twin: the same die, one served batch further on.
             let mut twin = small_commissioned_supervisor(12);
@@ -1185,5 +962,452 @@ mod tests {
             let b = twin.serve_predict(&probe, 0x9A + round);
             assert_pred_eq(&a.predictive, &b.predictive, &format!("post-gate round {round}"));
         }
+    }
+
+    /// fnv1a digests of whole checkpoints: a SpinDrop grid (defects ×
+    /// spares × lifetime schedule) and one commissioned, stepped and
+    /// served die per method, which between them write every captured
+    /// type. A change to any field's name, order or representation
+    /// moves a digest here — and must come with a new [`VERSION`].
+    #[rustfmt::skip]
+    const WIRE_DIGESTS: [u64; 19] = [
+        0x49517058eca489fb, 0x62d56655ed47dbcd, 0x3224cd9ec4d96d1b, 0xafa0ccff3dd3a1df,
+        0x38acfcec8451a3f6, 0x56e25ac67d66a1d1, 0x0afc24ae58361ed2, 0x900d712ac1ad08d1,
+        0xc969d8f1e68b0e6e, 0xfb406fd6d5c22876, 0xb56b4e8a4b74db45, 0x05aff2ff2121ea2f,
+        0xcc3e2828c49128ca, 0x83f8af948f1ad82c, 0x914f97ad5c6f7d48, 0x4163d35ed0cfc555,
+        0x2996692f3d76a69d, 0x6fe7455808e17f09, 0x85aa2225c754aad6,
+    ];
+
+    #[test]
+    fn checkpoint_bytes_match_the_pinned_digests() {
+        let mut got = Vec::new();
+        for defects in [false, true] {
+            for spares in [0usize, 2] {
+                for schedule in 0u8..3 {
+                    let seed = 0xD16E_5700 + got.len() as u64;
+                    let case = Case { seed, hidden: 12, defects, spares, schedule };
+                    let mut die = build_die(&case);
+                    drive(&mut die, &case);
+                    got.push(fnv1a(die.checkpoint().as_bytes()));
+                }
+            }
+        }
+        for method in Method::ALL {
+            let case = Case { seed: 0x3E70D, hidden: 16, defects: true, spares: 2, schedule: 1 };
+            let mut die = build_method_die(method, &case);
+            drive(&mut die, &case);
+            die.serve_predict(&small_inputs(2, 0x5E), 0x5E);
+            got.push(fnv1a(die.checkpoint().as_bytes()));
+        }
+        assert_eq!(VERSION, 1);
+        assert_eq!(got, WIRE_DIGESTS, "checkpoint bytes moved; now {got:#018x?}");
+    }
+
+    /// `member` of the object `v`, for editing.
+    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        match v {
+            Json::Obj(pairs) => {
+                &mut pairs.iter_mut().find(|(k, _)| k == key).expect("no such member").1
+            }
+            _ => panic!("'{key}': not an object"),
+        }
+    }
+
+    fn items(v: &mut Json) -> &mut Vec<Json> {
+        match v {
+            Json::Arr(items) => items,
+            _ => panic!("not an array"),
+        }
+    }
+
+    fn kind_of(block: &Json) -> &str {
+        block.get("kind").and_then(Json::as_str).unwrap_or("")
+    }
+
+    /// Restores `text` onto a diverged twin (the same die, one served
+    /// batch further on) and requires a `Malformed` refusal that leaves
+    /// the twin's state byte-equal and the twin able to serve.
+    fn assert_refused_whole(text: &str, label: &str) {
+        let mut twin = small_commissioned_supervisor(12);
+        twin.serve_predict(&small_inputs(2, 5), 3);
+        let before = twin.checkpoint();
+        let err = twin.restore_from_str(text);
+        assert!(matches!(err, Err(CheckpointError::Malformed(_))), "{label}: got {err:?}");
+        assert_eq!(twin.checkpoint(), before, "{label}: failed restore mutated state");
+        twin.serve_predict(&small_inputs(2, 6), 4);
+    }
+
+    /// Edits the donor's pipeline block states under a valid checksum.
+    fn with_blocks(edit: impl FnOnce(&mut Vec<Json>)) -> String {
+        let donor = small_commissioned_supervisor(12).checkpoint();
+        rehashed(&donor, |payload| edit(items(member(member(payload, "model"), "blocks"))))
+    }
+
+    #[test]
+    fn restore_refuses_a_short_crossbar_without_touching_earlier_blocks() {
+        let text = with_blocks(|blocks| {
+            let last = blocks.iter_mut().rfind(|b| matches!(kind_of(b), "conv" | "fc"));
+            items(member(member(last.expect("a crossbar block"), "xbar"), "eff")).pop();
+        });
+        assert_refused_whole(&text, "last crossbar's eff one short");
+    }
+
+    #[test]
+    fn restore_refuses_a_dropout_block_missing_a_module() {
+        let text = with_blocks(|blocks| {
+            let first = blocks.iter_mut().find(|b| kind_of(b).starts_with("drop_per"));
+            items(member(first.expect("a dropout block"), "modules")).pop();
+        });
+        assert_refused_whole(&text, "first dropout block one module short");
+    }
+
+    #[test]
+    fn restore_refuses_norm_statistics_shorter_than_the_layer() {
+        let text = with_blocks(|blocks| {
+            let norm = blocks.iter_mut().find(|b| kind_of(b) == "norm");
+            items(member(norm.expect("a norm block"), "mean")).pop();
+        });
+        assert_refused_whole(&text, "norm mean one short");
+    }
+
+    /// `1e999` overflows f64: the parser refuses it instead of handing
+    /// the checksum pass an infinity the writer cannot serialize.
+    #[test]
+    fn restore_refuses_a_number_past_f64_range() {
+        let donor = small_commissioned_supervisor(12).checkpoint();
+        let at = donor.find("\"eff\":[").expect("an eff array") + "\"eff\":[".len();
+        let end = at + donor[at..].find([',', ']']).expect("an eff value");
+        let edited = format!("{}1e999{}", &donor[..at], &donor[end..]);
+        assert_refused_whole(&edited, "first eff value 1e999");
+    }
+
+    /// An f32 field holding a finite f64 past f32's range used to decode
+    /// to an infinity, and the restored die could no longer write its
+    /// own checkpoint.
+    #[test]
+    fn restore_refuses_an_f32_field_past_f32_range() {
+        let text = with_blocks(|blocks| {
+            let norm = blocks.iter_mut().find(|b| kind_of(b) == "norm");
+            items(member(norm.expect("a norm block"), "var"))[0] = Json::Num(1e300);
+        });
+        assert_refused_whole(&text, "norm var 1e300");
+    }
+
+    /// A fresh twin as far as commissioning: until then its monitor's
+    /// abstention threshold is +∞, which no checkpoint can carry.
+    fn commissioned_twin(case: &Case) -> Supervisor {
+        let mut twin = build_die(case);
+        twin.commission(small_inputs(8, case.seed), &small_inputs(4, case.seed.wrapping_add(1)));
+        twin
+    }
+
+    /// `DefectMap` used to merge a repeated defect triple, so the
+    /// restored die re-exported a different state than the one it
+    /// accepted.
+    #[test]
+    fn restore_refuses_a_repeated_defect() {
+        let case = Case { seed: 0xDEF, hidden: 12, defects: true, spares: 0, schedule: 0 };
+        let mut donor = build_die(&case);
+        drive(&mut donor, &case);
+        let text = rehashed(&donor.checkpoint(), |payload| {
+            let blocks = items(member(member(payload, "model"), "blocks"));
+            let defects = blocks
+                .iter_mut()
+                .filter(|b| matches!(kind_of(b), "conv" | "fc"))
+                .map(|b| items(member(member(b, "xbar"), "defects")))
+                .find(|d| !d.is_empty())
+                .expect("a defective crossbar");
+            defects.push(defects[0].clone());
+        });
+        let mut twin = commissioned_twin(&case);
+        let before = twin.checkpoint();
+        let err = twin.restore_from_str(&text);
+        assert!(matches!(err, Err(CheckpointError::Malformed(ref m)) if m.contains("defect list")));
+        assert_eq!(twin.checkpoint(), before, "failed restore mutated state");
+    }
+
+    /// The placeholder a scalar mutation writes before the token
+    /// replaces it at the text level.
+    const MARK: &str = "\u{1}mutant";
+    /// Tokens a scalar is replaced with; `1e999` has no finite value,
+    /// so no checksum can be recomputed over it.
+    const TOKENS: [&str; 6] = ["\"x\"", "null", "-1", "0.5", "1e300", "1e999"];
+    const KINDS: [&str; 11] = [
+        "conv",
+        "fc",
+        "fc_spinbayes",
+        "digital_fc",
+        "norm",
+        "inv_norm",
+        "drop_per_neuron",
+        "drop_per_channel",
+        "drop_scale",
+        "drop_vi_scale",
+        "stateless",
+    ];
+
+    fn below(rng: &mut SplitMix64, n: usize) -> usize {
+        (rng.next_u64() % n as u64) as usize
+    }
+
+    fn children(v: &Json) -> usize {
+        match v {
+            Json::Obj(pairs) => pairs.len(),
+            Json::Arr(items) => items.len(),
+            _ => 0,
+        }
+    }
+
+    fn child(v: &Json, i: usize) -> &Json {
+        match v {
+            Json::Obj(pairs) => &pairs[i].1,
+            Json::Arr(items) => &items[i],
+            _ => unreachable!("scalars have no children"),
+        }
+    }
+
+    fn child_mut(v: &mut Json, i: usize) -> &mut Json {
+        match v {
+            Json::Obj(pairs) => &mut pairs[i].1,
+            Json::Arr(items) => &mut items[i],
+            _ => unreachable!("scalars have no children"),
+        }
+    }
+
+    /// The index of member `key` in the object `v`.
+    fn position(v: &Json, key: &str) -> usize {
+        let Json::Obj(pairs) = v else { panic!("'{key}': not an object") };
+        pairs.iter().position(|(k, _)| k == key).expect("no such member")
+    }
+
+    /// A random walk down to a leaf: the child index taken at each
+    /// level, and how many of them lead to the walk's start. A third of
+    /// the walks start at the root, a third in a random pipeline block
+    /// and a third in a random crossbar, where most of the state lives.
+    fn walk(root: &Json, rng: &mut SplitMix64) -> (Vec<usize>, usize) {
+        let mut path = Vec::new();
+        let start = below(rng, 3);
+        if start > 0 {
+            let model = position(root, "model");
+            let blocks_at = position(child(root, model), "blocks");
+            let blocks = child(child(root, model), blocks_at);
+            let eligible: Vec<usize> = (0..children(blocks))
+                .filter(|&b| start == 1 || child(blocks, b).get("xbar").is_some())
+                .collect();
+            let b = eligible[below(rng, eligible.len())];
+            path = vec![model, blocks_at, b];
+            if start == 2 {
+                path.push(position(child(blocks, b), "xbar"));
+            }
+        }
+        let from = path.len();
+        let mut v = path.iter().fold(root, |v, &i| child(v, i));
+        while children(v) > 0 {
+            path.push(below(rng, children(v)));
+            v = child(v, path[path.len() - 1]);
+        }
+        (path, from)
+    }
+
+    fn node_mut<'a>(root: &'a mut Json, path: &[usize]) -> &'a mut Json {
+        path.iter().fold(root, |v, &i| child_mut(v, i))
+    }
+
+    /// `model.blocks[3].xbar` style name of the node at `path`.
+    fn describe(root: &Json, path: &[usize]) -> String {
+        let mut name = String::new();
+        let mut v = root;
+        for &i in path {
+            match v {
+                Json::Obj(pairs) => name += &format!(".{}", pairs[i].0),
+                _ => name += &format!("[{i}]"),
+            }
+            v = child(v, i);
+        }
+        name
+    }
+
+    /// The path to a child of a random container of the wanted shape
+    /// on a random walk (at or below its start), re-walking until one
+    /// has such a container.
+    fn pick_container(root: &Json, rng: &mut SplitMix64, want_obj: bool) -> Vec<usize> {
+        loop {
+            let (path, from) = walk(root, rng);
+            let found: Vec<usize> = (from..path.len())
+                .filter(|&k| {
+                    let v = path[..k].iter().fold(root, |v, &i| child(v, i));
+                    matches!((v, want_obj), (Json::Obj(_), true) | (Json::Arr(_), false))
+                })
+                .collect();
+            if !found.is_empty() {
+                return path[..=found[below(rng, found.len())]].to_vec();
+            }
+        }
+    }
+
+    /// One mutation of a donor checkpoint, chosen by `slot`: returns
+    /// what it did, the mutated document, and whether it reaches the
+    /// payload decoder under a valid checksum.
+    fn mutate(
+        slot: usize,
+        cycle: usize,
+        donor: &str,
+        rng: &mut SplitMix64,
+    ) -> (String, String, bool) {
+        let root = parse(donor).expect("donor parses");
+        let checksum = root.get("checksum").and_then(Json::as_str).expect("checksum").to_string();
+        let mut payload = root.get("payload").expect("payload").clone();
+        let document = |payload: &str, checksum: &str| {
+            format!(
+                "{{\"format\":\"{FORMAT}\",\"version\":{VERSION},\"checksum\":\"{checksum}\",\
+                 \"payload\":{payload}}}"
+            )
+        };
+        if slot == 0 {
+            return match cycle % 3 {
+                0 => {
+                    let at = below(rng, donor.len());
+                    (format!("truncate at byte {at}"), donor[..at].to_string(), false)
+                }
+                1 => {
+                    let bumped = donor.replacen("\"version\":1", "\"version\":2", 1);
+                    ("bump version".to_string(), bumped, false)
+                }
+                _ => {
+                    let digit = below(rng, 16);
+                    let mut bad = checksum.clone().into_bytes();
+                    bad[digit] = if bad[digit] == b'0' { b'1' } else { b'0' };
+                    let bad = String::from_utf8(bad).expect("hex");
+                    let what = format!("checksum digit {digit}");
+                    (what, donor.replacen(&checksum, &bad, 1), false)
+                }
+            };
+        }
+        // Odd slots recompute the checksum; even ones keep the donor's.
+        let rehash = slot % 2 == 1;
+        let (what, text, hashed) = match slot {
+            1 | 2 => {
+                let mut bytes = payload.to_string().into_bytes();
+                let at = below(rng, bytes.len());
+                let mut to = 0x20 + below(rng, 95) as u8;
+                if to == bytes[at] {
+                    to = if to == 0x7E { 0x20 } else { to + 1 };
+                }
+                let what = format!("payload byte {at} {:?} -> {:?}", bytes[at] as char, to as char);
+                bytes[at] = to;
+                let text = String::from_utf8(bytes).expect("ASCII");
+                let hashed = parse(&text).ok().map(|p| checksum_of(&p.to_string()));
+                (what, text, hashed)
+            }
+            3 | 4 => {
+                let path = pick_container(&payload, rng, true);
+                let (parent, i) = (&path[..path.len() - 1], path[path.len() - 1]);
+                let what = format!("drop {}", describe(&payload, &path));
+                if let Json::Obj(pairs) = node_mut(&mut payload, parent) {
+                    pairs.remove(i);
+                }
+                let text = payload.to_string();
+                let hashed = Some(checksum_of(&text));
+                (what, text, hashed)
+            }
+            5 | 6 | 11 => {
+                let (path, _) = walk(&payload, rng);
+                // 1e999 only where no checksum is recomputed: none could be.
+                let token = TOKENS[below(rng, if rehash { 5 } else { 6 })];
+                let what = format!("{} = {token}", describe(&payload, &path));
+                let leaf = node_mut(&mut payload, &path);
+                *leaf = parse(token).unwrap_or(Json::Null);
+                let hashed = Some(checksum_of(&payload.to_string()));
+                *node_mut(&mut payload, &path) = Json::Str(MARK.to_string());
+                let mark = Json::Str(MARK.into()).to_string();
+                let text = payload.to_string().replacen(&mark, token, 1);
+                (what, text, hashed)
+            }
+            7 | 8 => {
+                let path = pick_container(&payload, rng, false);
+                let (parent, i) = (&path[..path.len() - 1], path[path.len() - 1]);
+                let name = describe(&payload, parent);
+                let arr = items(node_mut(&mut payload, parent));
+                let what = if rng.next_u64().is_multiple_of(2) {
+                    arr.pop();
+                    format!("pop {name}")
+                } else {
+                    arr.insert(i, arr[i].clone());
+                    format!("duplicate {name}[{i}]")
+                };
+                let text = payload.to_string();
+                let hashed = Some(checksum_of(&text));
+                (what, text, hashed)
+            }
+            _ => {
+                let blocks = items(member(member(&mut payload, "model"), "blocks"));
+                let b = below(rng, blocks.len());
+                let from = KINDS.iter().position(|&k| k == kind_of(&blocks[b])).expect("kind");
+                let to = KINDS[(from + 1 + below(rng, KINDS.len() - 1)) % KINDS.len()];
+                *member(&mut blocks[b], "kind") = Json::Str(to.to_string());
+                let text = payload.to_string();
+                let hashed = Some(checksum_of(&text));
+                (format!("block {b} {} -> {to}", KINDS[from]), text, hashed)
+            }
+        };
+        let reaches = rehash && hashed.is_some() && !text.contains("1e999");
+        let sum = if rehash { hashed.unwrap_or(checksum) } else { checksum };
+        (what, document(&text, &sum), reaches)
+    }
+
+    /// The seeded mutation battery over `restore_from_str`: 96 cases,
+    /// each one mutation of one of two aged donor dies restored onto a
+    /// freshly commissioned twin. Twelve slots cycle: header skew or truncation, then
+    /// payload byte rot, dropped members, retyped scalars, popped or
+    /// duplicated array elements and swapped block kinds, half of them
+    /// under a recomputed checksum so they reach the payload decoder.
+    /// `restore_from_str` must never panic; a refusal must leave the
+    /// twin's checkpoint byte-equal, and an acceptance must leave the
+    /// twin holding exactly the state the document decodes to.
+    #[test]
+    fn battery_restore_mutations_96() {
+        const SEED: u64 = 0x5EED_C4EC_6001;
+        let cases = [
+            Case { seed: 0xD0_0001, hidden: 12, defects: true, spares: 2, schedule: 1 },
+            Case { seed: 0xD0_0002, hidden: 12, defects: true, spares: 2, schedule: 2 },
+        ];
+        let donors: Vec<String> = cases
+            .iter()
+            .map(|case| {
+                let mut die = build_die(case);
+                drive(&mut die, case);
+                die.checkpoint()
+            })
+            .collect();
+        let (mut reached, mut accepted) = (0usize, 0usize);
+        for i in 0..96usize {
+            let seed = SEED.wrapping_add(i as u64);
+            let d = (i / 12) % 2;
+            let label = format!("case {i} (seed {seed:#x}, donor {d}, slot {})", i % 12);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut rng = SplitMix64::new(seed);
+                let (what, text, reaches) = mutate(i % 12, i / 12, &donors[d], &mut rng);
+                let mut twin = commissioned_twin(&cases[d]);
+                let before = twin.checkpoint();
+                match twin.restore_from_str(&text) {
+                    Err(e) => {
+                        let after = twin.checkpoint();
+                        assert!(after == before, "{label} {what}: refused ({e}) but changed");
+                        (reaches, false)
+                    }
+                    Ok(()) => {
+                        let state = Checkpoint::decode(&text).expect("restored, so decodes").state;
+                        let (got, want) = (twin.checkpoint(), Checkpoint::encode_state(&state));
+                        assert!(got == want, "{label} {what}: accepted but not restored");
+                        (reaches, true)
+                    }
+                }
+            }));
+            let (reaches, ok) = run.unwrap_or_else(|_| panic!("{label}: panicked (message above)"));
+            reached += usize::from(reaches);
+            accepted += usize::from(ok);
+        }
+        assert!(reached >= 40, "only {reached} of 96 cases reached the payload decoder");
+        assert!(accepted > 0, "no mutation was accepted: the round-trip arm is untested");
     }
 }

@@ -399,23 +399,25 @@ impl HealthMonitor {
     /// state). After the call the same observation sequence produces
     /// the same latched decisions as the source monitor.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the captured window is longer than this monitor's
-    /// configured window.
-    pub fn import_state(&mut self, state: &MonitorState) {
-        assert!(
-            state.window.len() <= self.config.window,
-            "monitor window state ({}) exceeds configured window ({})",
-            state.window.len(),
-            self.config.window
-        );
+    /// Refuses, leaving the monitor unchanged, a captured window longer
+    /// than this monitor's configured window.
+    pub fn import_state(&mut self, state: &MonitorState) -> Result<(), String> {
+        if state.window.len() > self.config.window {
+            return Err(format!(
+                "monitor window state ({}) exceeds configured window ({})",
+                state.window.len(),
+                self.config.window
+            ));
+        }
         self.config.abstain_entropy = state.abstain_entropy;
         self.window = state.window.iter().copied().collect();
         self.baseline = state.baseline;
         self.latched = state.latched;
         self.pending = state.pending;
         self.pending_count = state.pending_count;
+        Ok(())
     }
 
     /// Whether both signals have retreated *strictly* below `release ×`
@@ -725,7 +727,7 @@ mod tests {
         assert_eq!(a.policy(), HealthPolicy::Healthy, "still dwelling");
 
         let mut b = HealthMonitor::new(config);
-        b.import_state(&a.export_state());
+        b.import_state(&a.export_state()).unwrap();
         assert_eq!(b.export_state(), a.export_state(), "re-export must reproduce the state");
         assert_eq!(b.config().abstain_entropy, 2.0, "calibrated threshold travels");
 
@@ -741,14 +743,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds configured window")]
     fn monitor_import_rejects_oversized_window() {
         let mut a = HealthMonitor::new(HealthConfig { window: 4, ..HealthConfig::default() });
         for _ in 0..4 {
             a.observe(0.5, 10.0);
         }
         let mut b = HealthMonitor::new(HealthConfig { window: 2, ..HealthConfig::default() });
-        b.import_state(&a.export_state());
+        let before = b.export_state();
+        let err = b.import_state(&a.export_state()).unwrap_err();
+        assert!(err.contains("exceeds configured window"), "{err}");
+        assert_eq!(b.export_state(), before, "a refused state must not be applied");
     }
 
     #[test]

@@ -418,9 +418,13 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number '{text}'")))
+        // JSON has no infinities and the writer never emits one: a
+        // literal past f64's range is refused, not read as ±inf.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.err(format!("number '{text}' is out of range"))),
+            Err(_) => Err(self.err(format!("invalid number '{text}'"))),
+        }
     }
 }
 
@@ -691,6 +695,17 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] x").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    /// The writer cannot emit an infinity, so the parser must not
+    /// produce one from a literal that overflows f64.
+    #[test]
+    fn parser_rejects_numbers_past_f64_range() {
+        for text in ["1e999", "[0,-1e400]"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Json::Num(1e308));
     }
 
     #[test]

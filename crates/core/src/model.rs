@@ -931,22 +931,26 @@ impl HardwareModel {
     /// it for its batch shape, which perturbs only the
     /// `plan_rebuilds` diagnostic, never outputs or RNG streams.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the pipeline length or any block kind/population
-    /// differs from the captured state.
-    pub(crate) fn import_state(&mut self, state: &ModelState) {
-        assert_eq!(
-            self.blocks.len(),
-            state.blocks.len(),
-            "checkpoint pipeline length mismatch"
-        );
-        for (block, s) in self.blocks.iter_mut().zip(&state.blocks) {
-            block.import_state(s);
+    /// Refuses a state whose pipeline length or any block kind or
+    /// population differs. Blocks before the refused one are already
+    /// overwritten: import into a copy to keep the original.
+    pub(crate) fn import_state(&mut self, state: &ModelState) -> Result<(), String> {
+        if self.blocks.len() != state.blocks.len() {
+            return Err(format!(
+                "checkpoint pipeline length {} does not match {} blocks",
+                state.blocks.len(),
+                self.blocks.len()
+            ));
+        }
+        for (i, (block, s)) in self.blocks.iter_mut().zip(&state.blocks).enumerate() {
+            block.import_state(s).map_err(|e| format!("block {i}: {e}"))?;
         }
         self.baseline = state.baseline;
         self.extra = state.extra;
         self.plan_shape.clear();
+        Ok(())
     }
 
     /// Chaos hook: flips the stored sign of `flips` pseudo-randomly

@@ -636,14 +636,26 @@ impl Supervisor {
     /// `serve_predict` / scrub sequence is bit-identical to the
     /// uninterrupted source run.
     ///
-    /// # Panics
+    /// All or nothing: the state is imported into copies of the model
+    /// and the health monitor, which replace the originals only when
+    /// every block and the monitor accept their parts.
     ///
-    /// Panics if the checkpoint's pipeline shape does not match this
-    /// supervisor's model (it was taken from a different architecture).
-    pub fn restore(&mut self, checkpoint: &Checkpoint) {
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`], with the supervisor unchanged,
+    /// when the checkpoint does not fit this die: a different pipeline
+    /// shape, block kind or population (it was taken from a different
+    /// architecture), or a state this die could not have exported.
+    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), CheckpointError> {
         let s = &checkpoint.state;
-        self.model.import_state(&s.model);
-        self.monitor.import_state(&s.monitor);
+        let mut model = self.model.clone();
+        let mut monitor = self.monitor.clone();
+        model
+            .import_state(&s.model)
+            .and_then(|()| monitor.import_state(&s.monitor))
+            .map_err(CheckpointError::Malformed)?;
+        self.model = model;
+        self.monitor = monitor;
         self.calib = s.calib.clone();
         self.now_hours = s.now_hours;
         self.last_scrub_hours = s.last_scrub_hours;
@@ -655,15 +667,15 @@ impl Supervisor {
         self.replicas.invalidate();
         self.last_checkpoint = None;
         crate::telemetry::set_model_time_hours(self.now_hours);
+        Ok(())
     }
 
-    /// Decodes and applies a serialized checkpoint. Verification
-    /// happens before any state is touched: a malformed, version-skewed
-    /// or checksum-failing document leaves the supervisor unchanged.
+    /// Decodes a serialized checkpoint, then [restores](Self::restore)
+    /// it. A malformed, version-skewed or checksum-failing document, or
+    /// one that does not fit this die, is refused with the supervisor
+    /// unchanged.
     pub fn restore_from_str(&mut self, text: &str) -> Result<(), CheckpointError> {
-        let decoded = Checkpoint::decode(text)?;
-        self.restore(&decoded);
-        Ok(())
+        self.restore(&Checkpoint::decode(text)?)
     }
 
     /// Re-commission gate for a die restored from a checkpoint: a

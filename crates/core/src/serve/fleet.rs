@@ -202,10 +202,12 @@ impl DieFleet {
     /// only if the gate passes — swaps the restored supervisor in and
     /// marks the die up.
     ///
-    /// Returns the gate report on a decodable checkpoint; the caller
-    /// checks [`BistGateReport::passed`] to learn whether the die
-    /// rejoined. Fails without touching the die when no stable
-    /// checkpoint exists or the stored bytes no longer verify.
+    /// Returns the gate report on a checkpoint that restored; the
+    /// caller checks [`BistGateReport::passed`] to learn whether the
+    /// die rejoined. Fails without touching the die when no stable
+    /// checkpoint exists, the stored bytes no longer verify, or the
+    /// state they hold does not fit `twin` (see
+    /// [`Supervisor::restore`]).
     pub fn restore_die(
         &self,
         die: usize,

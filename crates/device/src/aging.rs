@@ -436,23 +436,22 @@ impl AgingState {
     /// Overwrites the mutable state from a snapshot taken on a
     /// population of the same size (see [`AgingSnapshot`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's population size differs from this one.
-    pub fn restore(&mut self, snapshot: &AgingSnapshot) {
-        assert_eq!(
-            snapshot.lifetimes.len(),
-            self.lifetimes.len(),
-            "aging snapshot population mismatch"
-        );
-        assert_eq!(snapshot.drift.len(), self.drift.len());
-        assert_eq!(snapshot.worn.len(), self.worn.len());
+    /// Refuses, leaving the state unchanged, a snapshot whose per-cell
+    /// vectors do not all match this population's size.
+    pub fn restore(&mut self, snapshot: &AgingSnapshot) -> Result<(), String> {
+        let n = self.lifetimes.len();
+        if [snapshot.lifetimes.len(), snapshot.drift.len(), snapshot.worn.len()] != [n; 3] {
+            return Err(format!("aging snapshot population mismatch (want {n} cells)"));
+        }
         self.now_hours = snapshot.now_hours;
         self.epoch = snapshot.epoch;
         self.cum_writes = snapshot.cum_writes;
         self.lifetimes.clone_from(&snapshot.lifetimes);
         self.drift.clone_from(&snapshot.drift);
         self.worn.clone_from(&snapshot.worn);
+        Ok(())
     }
 
     /// Records that cell `i` was physically replaced (e.g. fused to a
@@ -637,7 +636,7 @@ mod tests {
         let snap = a.snapshot();
         // Restore onto a twin built by the same constructor.
         let mut b = mk();
-        b.restore(&snap);
+        b.restore(&snap).unwrap();
         let ra = a.advance(2.0, 80.0, 200.0);
         let rb = b.advance(2.0, 80.0, 200.0);
         assert_eq!(ra, rb, "restored twin must replay the same events");
@@ -650,10 +649,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "population mismatch")]
     fn restore_rejects_population_mismatch() {
         let snap = AgingState::new(8, AgingConfig::default()).snapshot();
-        AgingState::new(16, AgingConfig::default()).restore(&snap);
+        let mut b = AgingState::new(16, AgingConfig::default());
+        let before = b.snapshot();
+        let err = b.restore(&snap).unwrap_err();
+        assert!(err.contains("population mismatch"), "{err}");
+        assert_eq!(b.snapshot(), before, "a refused snapshot must not be applied");
     }
 
     #[test]

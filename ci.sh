@@ -22,6 +22,16 @@ cargo build --release --offline
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The tracked artifacts must pass their own gates: run all six
+# campaign --checks, read-only, on results/ and the root BENCH_*.json.
+# A campaign change that adds or tightens a gate must regenerate its
+# tracked artifact in the same change.
+echo "==> --check on the tracked artifacts"
+for bin in exp_faultmgmt exp_throughput exp_observe exp_lifetime exp_serving exp_chaos; do
+    NEUSPIN_RESULTS=results NEUSPIN_BENCH_ROOT=. \
+        cargo run -q --release --offline -p neuspin-bench --bin "$bin" -- --check
+done
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

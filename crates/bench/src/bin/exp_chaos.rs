@@ -48,8 +48,9 @@
 //! `NEUSPIN_THREADS=4` re-run).
 
 use neuspin_bayes::{build_cnn, ArchConfig, Method};
+use neuspin_bench::artifact::{self, Artifact};
 use neuspin_bench::timing::percentile;
-use neuspin_bench::{results_dir, write_json};
+use neuspin_bench::{results_dir, write_bench, write_json, P99_BUDGET_MS};
 use neuspin_cim::{BistConfig, CrossbarConfig};
 use neuspin_core::json::{self, Json, ToJson};
 use neuspin_core::serve::client;
@@ -69,7 +70,6 @@ const STAGES: usize = 3;
 const MASTER_SEED: u64 = 0xC405_0001;
 const CHAOS_SEED: u64 = 0x000F_A117;
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
-const DEFAULT_P99_MS: f64 = 500.0;
 
 /// Report keys that legitimately differ run to run (wall-clock and
 /// host facts — `checkpoint_bytes` tracks the host thread-pool width
@@ -188,11 +188,7 @@ impl Fnv {
 /// bit-identical. Returns (identical, latched_tier_seen, bytes).
 fn checkpoint_proof(p: &Params) -> (bool, bool, usize) {
     let seed = MASTER_SEED ^ 0x1CE;
-    let mut a = bare_die(p, seed);
-    let side = p.arch.side;
-    let calib = Tensor::from_fn(&[16, 1, side, side], |i| ((i * 13 % 97) as f32 / 97.0) - 0.5);
-    let monitor = Tensor::from_fn(&[8, 1, side, side], |i| ((i * 7 % 89) as f32 / 89.0) - 0.5);
-    a.commission(calib, &monitor);
+    let mut a = die(p, seed);
     // A lifetime worth carrying: aging steps with scrub intervals, then
     // an abstention-threshold collapse so the die latches a tier.
     let inputs = probe_batch(p, 1);
@@ -643,160 +639,89 @@ fn reconstruct_faults(dump: &str, want: &FaultLedger) -> Result<(), String> {
     Ok(())
 }
 
-fn finite_num(obj: &Json, key: &str) -> Result<f64, String> {
-    match obj.get(key).and_then(Json::as_f64) {
-        Some(v) if v.is_finite() => Ok(v),
-        Some(v) => Err(format!("key {key} is non-finite ({v})")),
-        None => Err(format!("missing numeric key {key}")),
-    }
-}
-
-fn check_results() -> ExitCode {
-    let path = results_dir().join("exp_chaos.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let get = |key: &str| finite_num(&value, key);
-    let fail = |why: String| {
-        eprintln!("check failed: {why}");
-        ExitCode::FAILURE
-    };
+fn check() -> Result<String, String> {
+    let artifact = Artifact::result("exp_chaos.json")?;
+    let report = artifact.root();
 
     // 1. The checkpoint round-trip proof held on a latched die.
-    for key in ["roundtrip_identical", "roundtrip_latched"] {
-        match get(key) {
-            Ok(1.0) => {}
-            Ok(v) => return fail(format!("{key} must be 1, got {v}")),
-            Err(e) => return fail(e),
-        }
-    }
+    report.expect("roundtrip_identical", 1.0)?;
+    report.expect("roundtrip_latched", 1.0)?;
 
     // 2. Conservation + zero silent drops, every stage.
     for key in ["dropped", "shed", "unserveable", "deadline_expired"] {
-        match get(key) {
-            Ok(0.0) => {}
-            Ok(v) => return fail(format!("{key} must be 0, got {v}")),
-            Err(e) => return fail(e),
-        }
+        report.expect(key, 0.0)?;
     }
-    let arr_of = |key: &str| -> Result<Vec<f64>, String> {
-        value
-            .get(key)
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_f64).collect())
-            .ok_or_else(|| format!("missing array {key}"))
-    };
     for key in ["stage_conserved", "stage_drained"] {
-        match arr_of(key) {
-            Ok(flags) if !flags.is_empty() && flags.iter().all(|&f| f == 1.0) => {}
-            Ok(flags) => return fail(format!("{key} must be all-1, got {flags:?}")),
-            Err(e) => return fail(e),
-        }
+        let flags = report.nums(key)?;
+        report.ensure(flags.iter().all(|&f| f == 1.0), || {
+            format!("{key} must be all-1, got {flags:?}")
+        })?;
     }
-    let dies = get("dies").unwrap_or(0.0);
-    match arr_of("stage_eligible_final") {
-        Ok(el) if !el.is_empty() && el.iter().all(|&e| e == dies) => {}
-        Ok(el) => {
-            return fail(format!("fleet must end every stage fully serveable, got {el:?}"))
-        }
-        Err(e) => return fail(e),
-    }
+    let dies = report.num("dies")?;
+    let eligible = report.nums("stage_eligible_final")?;
+    report.ensure(eligible.iter().all(|&e| e == dies), || {
+        format!("stage_eligible_final: fleet must end every stage fully serveable, got {eligible:?}")
+    })?;
     // Malformed requests were injected and every one was answered 4xx.
-    let (bad, malformed) = match (arr_of("stage_bad"), arr_of("stage_malformed")) {
-        (Ok(b), Ok(m)) => (b, m),
-        (Err(e), _) | (_, Err(e)) => return fail(e),
-    };
-    if bad != malformed || malformed.iter().sum::<f64>() < 1.0 {
-        return fail(format!(
-            "every malformed request must 4xx (bad {bad:?} vs sent {malformed:?})"
-        ));
-    }
+    let (bad, malformed) = (report.nums("stage_bad")?, report.nums("stage_malformed")?);
+    report.ensure(bad == malformed && malformed.iter().sum::<f64>() >= 1.0, || {
+        format!("every stage_malformed request must 4xx (stage_bad {bad:?} vs sent {malformed:?})")
+    })?;
 
     // 3. The faults actually struck: crash, restore, gate, byte-equal.
-    let crashes = get("crashes").unwrap_or(0.0);
-    let restores = get("restores").unwrap_or(0.0);
-    let gates = get("bist_gates_passed").unwrap_or(0.0);
-    if crashes < 1.0 || restores != crashes || gates != restores {
-        return fail(format!(
+    let crashes = report.num("crashes")?;
+    let restores = report.num("restores")?;
+    let gates = report.num("bist_gates_passed")?;
+    report.ensure(crashes >= 1.0 && restores == crashes && gates == restores, || {
+        format!(
             "need >=1 crash with every restore gate-passed \
-             (crashes {crashes}, restores {restores}, gates {gates})"
-        ));
-    }
-    match get("restored_byte_equal") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("restored dies diverged from control (flag {v})")),
-        Err(e) => return fail(e),
-    }
+             (crashes {crashes}, restores {restores}, bist_gates_passed {gates})"
+        )
+    })?;
+    report.expect("restored_byte_equal", 1.0)?;
     for key in ["flips_injected", "chaos_stalls", "chaos_worker_panics"] {
-        match get(key) {
-            Ok(v) if v >= 1.0 => {}
-            Ok(v) => return fail(format!("{key} must be >=1, got {v}")),
-            Err(e) => return fail(e),
-        }
+        report.at_least(key, 1.0)?;
     }
 
     // 3b. The black box: the flight dump alone — no counters, no live
     // state — must reconstruct every injected fault with its site,
     // affected request ids, and recovery outcome, and the ring must
     // not have dropped a single event.
-    for (key, want) in [("flight_reconstructed", 1.0), ("flight_dropped", 0.0)] {
-        match get(key) {
-            Ok(v) if v == want => {}
-            Ok(v) => return fail(format!("{key} must be {want}, got {v}")),
-            Err(e) => return fail(e),
-        }
-    }
+    report.expect("flight_reconstructed", 1.0)?;
+    report.expect("flight_dropped", 0.0)?;
     let flight_path = results_dir().join("exp_chaos_flight.jsonl");
-    let dump = match std::fs::read_to_string(&flight_path) {
-        Ok(d) => d,
-        Err(e) => return fail(format!("cannot read {}: {e}", flight_path.display())),
-    };
     let ledger = FaultLedger {
-        stalls: get("chaos_stalls").unwrap_or(-1.0),
-        spikes: get("chaos_spikes").unwrap_or(-1.0),
-        panics: get("chaos_worker_panics").unwrap_or(-1.0),
+        stalls: report.num("chaos_stalls")?,
+        spikes: report.num("chaos_spikes")?,
+        panics: report.num("chaos_worker_panics")?,
         crashes,
         restores,
         gates_passed: gates,
-        flips: get("flips_injected").unwrap_or(-1.0),
+        flips: report.num("flips_injected")?,
         malformed: malformed.iter().sum::<f64>(),
     };
-    if let Err(why) = reconstruct_faults(&dump, &ledger) {
-        return fail(format!("flight dump does not reconstruct the campaign: {why}"));
-    }
+    reconstruct_faults(&artifact::read(&flight_path)?, &ledger).map_err(|why| {
+        format!("{} does not reconstruct the campaign: {why}", flight_path.display())
+    })?;
 
     // 4. Latency bounded despite the injected timing faults.
-    let p99 = match get("p99_ms") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    if p99 <= 0.0 || p99 > DEFAULT_P99_MS {
-        return fail(format!("p99 {p99:.1} ms outside (0, {DEFAULT_P99_MS:.0}] budget"));
-    }
+    let p99 = report.num("p99_ms")?;
+    report.ensure(p99 > 0.0 && p99 <= P99_BUDGET_MS, || {
+        format!("p99_ms {p99:.1} outside (0, {P99_BUDGET_MS:.0}] budget")
+    })?;
 
-    println!(
+    Ok(format!(
         "exp_chaos.json: round-trip held, {crashes} crashes all restored through the \
          BIST gate byte-equal, conservation exact, flight dump reconstructs the campaign, \
-         p99 {p99:.1} ms (budget {DEFAULT_P99_MS:.0})",
-    );
-    ExitCode::SUCCESS
+         p99 {p99:.1} ms (budget {P99_BUDGET_MS:.0})",
+    ))
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
+
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
     let p = params(fast);
     println!("== Chaos campaign: {DIES} dies, {STAGES} escalating stages ==\n");
@@ -942,12 +867,7 @@ fn main() -> ExitCode {
         ),
         other => other,
     };
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    std::fs::create_dir_all(&root).expect("cannot create bench root");
-    let bench_path = std::path::Path::new(&root).join("BENCH_chaos.json");
-    std::fs::write(&bench_path, deterministic.to_string_pretty())
-        .expect("cannot write BENCH_chaos.json");
-    println!("[wrote {}]", bench_path.display());
+    write_bench("chaos", &deterministic);
 
     let fatal = !roundtrip_identical
         || !reconstructed

@@ -20,10 +20,10 @@
 //! (the CI gate).
 
 use neuspin_bayes::Method;
+use neuspin_bench::artifact::{self, Artifact};
 use neuspin_bench::scenarios::faulty_hardware_config;
-use neuspin_bench::{results_dir, write_json, Setup};
+use neuspin_bench::{write_json, Setup};
 use neuspin_cim::BistConfig;
-use neuspin_core::json;
 use neuspin_core::HardwareModel;
 use std::process::ExitCode;
 
@@ -68,59 +68,27 @@ const SCHEMA_KEYS: [&str; 10] = [
     "abstain_threshold",
 ];
 
-fn check_results() -> ExitCode {
-    let path = results_dir().join("exp_faultmgmt.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(points) = value.as_arr() else {
-        eprintln!("check failed: top level must be an array of grid points");
-        return ExitCode::FAILURE;
-    };
-    if points.is_empty() {
-        eprintln!("check failed: empty campaign — no grid points written");
-        return ExitCode::FAILURE;
-    }
-    for (i, point) in points.iter().enumerate() {
+fn check() -> Result<String, String> {
+    let artifact = Artifact::result("exp_faultmgmt.json")?;
+    let points = artifact.root().items()?;
+    for point in &points {
         for key in SCHEMA_KEYS {
-            match point.get(key).and_then(json::Json::as_f64) {
-                Some(v) if v.is_finite() => {}
-                Some(v) => {
-                    eprintln!("check failed: point {i} key {key} is non-finite ({v})");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("check failed: point {i} missing numeric key {key}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            point.num(key)?;
         }
     }
-    println!("exp_faultmgmt.json: {} grid points, schema OK, all finite", points.len());
-    ExitCode::SUCCESS
+    Ok(format!("exp_faultmgmt.json: {} grid points, schema OK, all finite", points.len()))
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
 
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
     let setup = if fast {
         Setup { epochs: 2, train_images: 600, test_images: 96, calib_images: 48, passes: 6, ..Setup::quick() }
     } else {
-        Setup::from_env()
+        Setup::default()
     };
     let (defect_rates, spare_budgets, coverages): (Vec<f64>, Vec<usize>, Vec<f64>) = if fast {
         (vec![0.0, 0.01], vec![0, 4], vec![0.9])

@@ -41,10 +41,10 @@
 //! noise, dominance is enforced.
 
 use neuspin_bayes::{ece, Method};
+use neuspin_bench::artifact::{self, Artifact};
 use neuspin_bench::scenarios::{faulty_hardware_config, hard_fault_rates};
-use neuspin_bench::{write_json, Setup};
+use neuspin_bench::{write_bench, write_json, Setup};
 use neuspin_cim::{march_test, BistConfig, Crossbar, CrossbarConfig};
-use neuspin_core::json::{self, ToJson};
 use neuspin_core::rng::stream;
 use neuspin_core::{HardwareModel, Supervisor, SupervisorConfig, ThreadPool};
 use neuspin_device::{AgingConfig, TemperatureProfile};
@@ -162,11 +162,6 @@ const SUMMARY_KEYS: [&str; 17] = [
     "points",
 ];
 
-fn bench_root() -> std::path::PathBuf {
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    std::path::PathBuf::from(root)
-}
-
 fn aging_config(seed: u64, temperature: f64) -> AgingConfig {
     AgingConfig {
         seed,
@@ -185,76 +180,32 @@ fn commission_manual(hw: &mut HardwareModel, calib: &Tensor, master: u64) -> f64
     hw.calibrate_abstention(calib, 0.9, &mut stream(master, 2))
 }
 
-fn check_results() -> ExitCode {
-    let path = bench_root().join("BENCH_lifetime.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let get = |key: &str| -> Option<f64> {
-        match value.get(key).and_then(json::Json::as_f64) {
-            Some(v) if v.is_finite() => Some(v),
-            Some(v) => {
-                eprintln!("check failed: key {key} is non-finite ({v})");
-                None
-            }
-            None => {
-                eprintln!("check failed: missing numeric key {key}");
-                None
-            }
-        }
-    };
-    let mut fields = std::collections::HashMap::new();
+fn check() -> Result<String, String> {
+    let artifact = Artifact::bench("BENCH_lifetime.json")?;
+    let summary = artifact.root();
     for key in SUMMARY_KEYS {
-        match get(key) {
-            Some(v) => {
-                fields.insert(key, v);
-            }
-            None => return ExitCode::FAILURE,
-        }
+        summary.num(key)?;
     }
-    let drop = fields["unmanaged_drop"];
-    if drop < 0.10 - 1e-9 {
-        eprintln!("check failed: unmanaged accuracy only dropped {drop:.3} (< 0.10) at the hot corner");
-        return ExitCode::FAILURE;
-    }
-    let regression = fields["closed_regression"];
-    if regression > 0.02 + 1e-9 {
-        eprintln!("check failed: closed-loop lost {regression:.3} accuracy vs t=0 (> 0.02)");
-        return ExitCode::FAILURE;
-    }
-    let n = fields["test_images"];
+    // The unmanaged die must collapse at the hot corner ...
+    let drop = summary.at_least("unmanaged_drop", 0.10 - 1e-9)?;
+    // ... while the closed loop holds within 2 pp of its t = 0 accuracy,
+    let regression = summary.num("closed_regression")?;
+    summary.ensure(regression <= 0.02 + 1e-9, || {
+        format!("closed_regression {regression:.3}: closed-loop lost more than 0.02 accuracy vs t=0")
+    })?;
+    // ... and never falls below the degraded unmanaged envelope by more
+    // than the finite-test-set noise floor.
+    let n = summary.num("test_images")?;
     let slack = 1.0 / n + 1.0 / n.sqrt() + 1e-9;
-    let min_gap = fields["min_closed_margin"];
-    if min_gap < -slack {
-        eprintln!(
-            "check failed: closed-loop fell {min_gap:.4} below the degraded unmanaged \
-             envelope somewhere (slack {slack:.4})"
-        );
-        return ExitCode::FAILURE;
-    }
-    if fields["bist_detection_rate"] < 0.5 {
-        eprintln!("check failed: BIST confusion sidebar detection rate below 0.5");
-        return ExitCode::FAILURE;
-    }
-    println!(
+    let min_gap = summary.at_least("min_closed_margin", -slack)?;
+    summary.at_least("bist_detection_rate", 0.5)?;
+    Ok(format!(
         "BENCH_lifetime.json OK: unmanaged dropped {:.1} pp, closed-loop regressed {:.1} pp over {} h, min gap {:+.4}",
         100.0 * drop,
         100.0 * regression,
-        fields["device_hours"],
+        summary.num("device_hours")?,
         min_gap
-    );
-    ExitCode::SUCCESS
+    ))
 }
 
 /// A standalone BIST-quality sidebar: a small crossbar with both
@@ -296,15 +247,15 @@ fn bist_sidebar(setup: &Setup) -> (f64, f64) {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
 
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
     let setup = if fast {
         Setup { epochs: 2, train_images: 600, test_images: 96, calib_images: 48, passes: 6, ..Setup::quick() }
     } else {
-        Setup::from_env()
+        Setup::default()
     };
     let temperatures: Vec<f64> = if fast { vec![350.0] } else { vec![300.0, 325.0, 350.0] };
     let steps = if fast { 4 } else { 8 };
@@ -505,11 +456,6 @@ fn main() -> ExitCode {
     );
 
     write_json("exp_lifetime", &points);
-    let root = bench_root();
-    std::fs::create_dir_all(&root).expect("cannot create bench root");
-    let bench_path = root.join("BENCH_lifetime.json");
-    std::fs::write(&bench_path, summary.to_json().to_string_pretty())
-        .expect("cannot write BENCH_lifetime.json");
-    println!("[wrote {}]", bench_path.display());
+    write_bench("lifetime", &summary);
     ExitCode::SUCCESS
 }

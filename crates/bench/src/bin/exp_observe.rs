@@ -36,9 +36,12 @@
 //! workspace root (override with `NEUSPIN_BENCH_ROOT`).
 
 use neuspin_bayes::{build_cnn, ArchConfig, Method, Predictive};
-use neuspin_bench::{results_dir, write_json, Setup};
-use neuspin_cim::{BistConfig, Crossbar};
-use neuspin_core::json::{self, ToJson};
+use neuspin_bench::artifact::{self, Artifact};
+use neuspin_bench::scenarios::{self, PREDICT_SEED};
+use neuspin_bench::timing::time_ns_per_call;
+use neuspin_bench::{bench_root, results_dir, write_bench, write_json, write_side};
+use neuspin_cim::BistConfig;
+use neuspin_core::json;
 use neuspin_core::serve::client;
 use neuspin_core::telemetry::{self, MetricsSnapshot};
 use neuspin_core::{
@@ -46,17 +49,12 @@ use neuspin_core::{
     SupervisorConfig, ThreadPool,
 };
 use neuspin_data::digits::dataset;
-use neuspin_device::DefectRates;
 use neuspin_nn::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-
-/// Matches the MC seed of `exp_throughput` so traces describe the same
-/// inference workload the throughput baseline measured.
-const PREDICT_SEED: u64 = 0x7457_0001;
 
 /// Relative tolerance of the disabled-telemetry overhead gate and the
 /// serve-path lineage gate.
@@ -139,43 +137,14 @@ neuspin_core::impl_to_json!(Report {
     metrics,
 });
 
-/// Best-of-`reps` wall time of `calls` back-to-back invocations, as
-/// nanoseconds per call (the `exp_throughput` timer).
-fn time_ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..calls {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e9 / calls as f64
-}
-
-/// Re-times the `exp_throughput` kernel micro-bench — same array, same
-/// seeds, same remap, same timer — with telemetry fully disabled. More
-/// best-of reps than the baseline run, so on a quiet host the result
-/// can only be at least as tight as the baseline's.
+/// Re-times `exp_throughput`'s analog kernel row (the shared
+/// [`scenarios::analog_tile`] on the shared timer) with telemetry fully
+/// disabled. More best-of reps than the baseline run, so on a quiet
+/// host the result can only be at least as tight as the baseline's.
 fn kernel_disabled_ns(fast: bool) -> f64 {
-    let (rows, cols) = if fast { (96, 48) } else { (256, 64) };
-    let config = neuspin_cim::CrossbarConfig {
-        defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
-        read_noise: 0.05,
-        adc_bits: Some(6),
-        ir_drop: 0.05,
-        ..Default::default()
-    };
-    let weights: Vec<f32> =
-        (0..rows * cols).map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 }).collect();
-    let mut rng = StdRng::seed_from_u64(0x7412_0001);
-    let mut xbar = Crossbar::program(&weights, rows, cols, &config, &mut rng);
-    xbar.apply_remap(
-        (0..rows).map(|i| (i + 11) % rows).collect(),
-        (0..cols).map(|i| (i + 3) % cols).collect(),
-    );
-    let input: Vec<f32> = (0..rows).map(|i| ((i * 5) % 9) as f32 / 4.0 - 1.0).collect();
-
+    let (rows, cols) = scenarios::tile_shape(fast);
+    let weights = scenarios::tile_weights(rows, cols);
+    let (mut xbar, input) = scenarios::analog_tile(&weights, rows, cols);
     let (reps, calls) = if fast { (6, 100) } else { (10, 400) };
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for _ in 0..8 {
@@ -268,100 +237,26 @@ fn serve_ns_per_request(traced: bool, n: usize) -> f64 {
 }
 
 /// Reads the like-for-like kernel baseline out of BENCH_throughput.json
-/// under `NEUSPIN_BENCH_ROOT`. Returns `None` when the file is absent,
+/// under [`bench_root`]. Returns `None` when the file is absent,
 /// malformed, or was recorded in the other fast/full mode.
 fn read_baseline(fast: bool) -> Option<f64> {
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    let path = std::path::Path::new(&root).join("BENCH_throughput.json");
-    let value = json::parse(&std::fs::read_to_string(&path).ok()?).ok()?;
-    let baseline_fast = value.get("fast_mode").and_then(json::Json::as_f64)?;
-    if (baseline_fast == 1.0) != fast {
+    let path = bench_root().join("BENCH_throughput.json");
+    let baseline = Artifact::load(&path).ok()?;
+    let baseline_fast = baseline.root().num("fast_mode").ok()? == 1.0;
+    if baseline_fast != fast {
         eprintln!(
             "note: {} was recorded in {} mode, this run is {} — overhead gate skipped",
             path.display(),
-            if baseline_fast == 1.0 { "fast" } else { "full" },
+            if baseline_fast { "fast" } else { "full" },
             if fast { "fast" } else { "full" },
         );
         return None;
     }
-    let kernel = value.get("kernel").and_then(json::Json::as_arr)?;
-    let ns = kernel.first()?.get("rowmajor_ns_per_call").and_then(json::Json::as_f64)?;
-    (ns.is_finite() && ns > 0.0).then_some(ns)
+    let ns = baseline.root().rows("kernel").ok()?[0].num("rowmajor_ns_per_call").ok()?;
+    (ns > 0.0).then_some(ns)
 }
 
-/// The throughput CNN: identical setup to `exp_throughput`'s MC model.
-fn build_model(fast: bool) -> (HardwareModel, neuspin_nn::Tensor, Setup) {
-    let setup = if fast {
-        Setup {
-            arch: ArchConfig { c1: 16, c2: 32, hidden: 128, ..ArchConfig::default() },
-            epochs: 1,
-            train_images: 256,
-            test_images: 64,
-            calib_images: 32,
-            passes: 6,
-            ..Setup::quick()
-        }
-    } else {
-        Setup {
-            arch: ArchConfig { c1: 32, c2: 64, hidden: 256, ..ArchConfig::default() },
-            epochs: 1,
-            passes: 12,
-            ..Setup::quick()
-        }
-    };
-    let batch = if fast { 8 } else { 32 };
-    let (train, calib, _test) = setup.datasets();
-    eprintln!("training SpinDrop backbone ...");
-    let mut model = setup.train(Method::SpinDrop, &train);
-    let hw_config = HardwareConfig {
-        crossbar: neuspin_cim::CrossbarConfig {
-            defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
-            read_noise: 0.05,
-            adc_bits: Some(6),
-            ir_drop: 0.05,
-            ..neuspin_core::reliability_base().crossbar
-        },
-        spare_cols: 4,
-        passes: setup.passes,
-        ..neuspin_core::reliability_base()
-    };
-    let mut hw = HardwareModel::compile(
-        &mut model,
-        Method::SpinDrop,
-        &setup.arch,
-        &hw_config,
-        &mut setup.rng(0x7457),
-    );
-    hw.fault_management(&BistConfig::default(), &mut setup.rng(0x7458));
-    hw.calibrate(&calib.inputs, 2, &mut setup.rng(0x7459));
-    let inputs = dataset(batch, &setup.style, &mut setup.rng(0x7460 + batch as u64)).inputs;
-    (hw, inputs, setup)
-}
-
-fn finite_num(obj: &json::Json, key: &str) -> Result<f64, String> {
-    match obj.get(key).and_then(json::Json::as_f64) {
-        Some(v) if v.is_finite() => Ok(v),
-        Some(v) => Err(format!("key {key} is non-finite ({v})")),
-        None => Err(format!("missing numeric key {key}")),
-    }
-}
-
-fn check_results() -> ExitCode {
-    let path = results_dir().join("exp_observe.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn check() -> Result<String, String> {
     const POSITIVE: [&str; 14] = [
         "kernel_disabled_ns_per_call",
         "kernel_overhead_vs_baseline",
@@ -378,104 +273,66 @@ fn check_results() -> ExitCode {
         "serve_traced_ns_per_req",
         "serve_trace_overhead_ratio",
     ];
+    let artifact = Artifact::result("exp_observe.json")?;
+    let report = artifact.root();
     for key in POSITIVE {
-        match finite_num(&value, key) {
-            Ok(v) if v > 0.0 => {}
-            Ok(v) => {
-                eprintln!("check failed: {key} must be positive, got {v}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let v = report.num(key)?;
+        report.ensure(v > 0.0, || format!("{key} must be positive, got {v}"))?;
     }
-    for key in ["bit_identical", "trace_identical"] {
-        match finite_num(&value, key) {
-            Ok(1.0) => {}
-            Ok(v) => {
-                eprintln!(
-                    "check failed: {key} = {v} — traced predict_par must be deterministic"
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("check failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    // Traced predict_par must be deterministic.
+    report.expect("bit_identical", 1.0)?;
+    report.expect("trace_identical", 1.0)?;
     // The overhead gate: disabled-telemetry kernel throughput within
     // tolerance of the untelemetered BENCH_throughput.json baseline.
-    let found = finite_num(&value, "baseline_found").unwrap_or(0.0);
-    let overhead = finite_num(&value, "kernel_overhead_vs_baseline").unwrap();
-    if found == 1.0 && overhead > 1.0 + DEFAULT_TOL {
-        eprintln!(
-            "check failed: disabled-telemetry kernel is {:.2}% slower than the \
-             BENCH_throughput.json baseline (tolerance {:.2}%)",
+    let found = report.num("baseline_found")? == 1.0;
+    let overhead = report.num("kernel_overhead_vs_baseline")?;
+    report.ensure(!found || overhead <= 1.0 + DEFAULT_TOL, || {
+        format!(
+            "kernel_overhead_vs_baseline: disabled-telemetry kernel is {:.2}% slower than \
+             the BENCH_throughput.json baseline (tolerance {:.2}%)",
             (overhead - 1.0) * 100.0,
             DEFAULT_TOL * 100.0,
-        );
-        return ExitCode::FAILURE;
-    }
+        )
+    })?;
     // The serve-path lineage gate: per-request tracing (waterfall
     // histograms + flight ring + SLO tracking) must cost no more than
     // the tolerance over an untraced request.
-    let serve_ratio = finite_num(&value, "serve_trace_overhead_ratio").unwrap_or(f64::MAX);
-    if serve_ratio > 1.0 + DEFAULT_TOL {
-        eprintln!(
-            "check failed: serve-path tracing is {:.2}% slower than untraced \
+    let serve_ratio = report.num("serve_trace_overhead_ratio")?;
+    report.ensure(serve_ratio <= 1.0 + DEFAULT_TOL, || {
+        format!(
+            "serve_trace_overhead_ratio: serve-path tracing is {:.2}% slower than untraced \
              (tolerance {:.2}%)",
             (serve_ratio - 1.0) * 100.0,
             DEFAULT_TOL * 100.0,
-        );
-        return ExitCode::FAILURE;
-    }
+        )
+    })?;
     // The emitted trace must exist and be valid JSONL of spans/events.
     let trace_path = results_dir().join("exp_observe_trace.jsonl");
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut lines = 0usize;
+    let trace = artifact::read(&trace_path)?;
     for (i, line) in trace.lines().enumerate() {
-        let parsed = match json::parse(line) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("check failed: trace line {i} is not valid JSON: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if parsed.get("span").is_none() && parsed.get("event").is_none() {
-            eprintln!("check failed: trace line {i} has neither span nor event key");
-            return ExitCode::FAILURE;
+        let at = format!("{} line {i}", trace_path.display());
+        let event = json::parse(line).map_err(|e| format!("{at} is not valid JSON: {e}"))?;
+        if event.get("span").is_none() && event.get("event").is_none() {
+            return Err(format!("{at} has neither span nor event key"));
         }
-        lines += 1;
     }
-    let expected = finite_num(&value, "trace_events").unwrap_or(-1.0);
-    if lines == 0 || lines as f64 != expected {
-        eprintln!("check failed: trace has {lines} lines, report says {expected}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "exp_observe.json: overhead {:.4} (baseline {}), serve tracing {:.4}, trace {} \
-         events byte-stable across 1/2/4 workers, schema OK, all finite",
-        overhead,
-        if found == 1.0 { "found" } else { "absent/skipped" },
-        serve_ratio,
-        lines,
-    );
-    ExitCode::SUCCESS
+    let lines = trace.lines().count();
+    let expected = report.num("trace_events")?;
+    report.ensure(lines > 0 && lines as f64 == expected, || {
+        format!("trace_events is {expected}, but the trace has {lines} lines")
+    })?;
+    Ok(format!(
+        "exp_observe.json: overhead {overhead:.4} (baseline {}), serve tracing {serve_ratio:.4}, \
+         trace {lines} events byte-stable across 1/2/4 workers, schema OK, all finite",
+        if found { "found" } else { "absent/skipped" },
+    ))
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
+
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
     println!("== Telemetry overhead + deterministic trace gate ==\n");
     telemetry::set_enabled(false, false);
@@ -506,7 +363,8 @@ fn main() -> ExitCode {
     );
 
     // 2. The throughput CNN.
-    let (mut hw, inputs, setup) = build_model(fast);
+    let (mut hw, setup) = scenarios::throughput_model(fast);
+    let inputs = scenarios::batch_inputs(&setup, if fast { 8 } else { 32 });
 
     // 3. Determinism gate: fully traced predict_par on 1/2/4 workers.
     let mut preds: Vec<Predictive> = Vec::new();
@@ -649,20 +507,9 @@ fn main() -> ExitCode {
     };
 
     write_json("exp_observe", &report);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("cannot create results dir");
-    let trace_path = dir.join("exp_observe_trace.jsonl");
-    std::fs::write(&trace_path, &traces[0]).expect("cannot write trace JSONL");
-    println!("[wrote {}]", trace_path.display());
-    let prom_path = dir.join("exp_observe_prometheus.txt");
-    std::fs::write(&prom_path, &prometheus).expect("cannot write Prometheus exposition");
-    println!("[wrote {}]", prom_path.display());
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    std::fs::create_dir_all(&root).expect("cannot create bench root");
-    let bench_path = std::path::Path::new(&root).join("BENCH_observe.json");
-    std::fs::write(&bench_path, report.to_json().to_string_pretty())
-        .expect("cannot write BENCH_observe.json");
-    println!("[wrote {}]", bench_path.display());
+    write_side("exp_observe_trace.jsonl", &traces[0]);
+    write_side("exp_observe_prometheus.txt", &prometheus);
+    write_bench("observe", &report);
 
     if !bit_identical || !trace_identical {
         eprintln!("determinism gate FAILED (see report)");

@@ -39,10 +39,11 @@
 //! the workspace root (override with `NEUSPIN_BENCH_ROOT`).
 
 use neuspin_bayes::{build_cnn, ArchConfig, Method};
+use neuspin_bench::artifact::{self, Artifact};
 use neuspin_bench::timing::percentile;
-use neuspin_bench::{results_dir, write_json};
+use neuspin_bench::{results_dir, write_bench, write_json, write_side, P99_BUDGET_MS};
 use neuspin_cim::CrossbarConfig;
-use neuspin_core::json::{self, ToJson};
+use neuspin_core::json;
 use neuspin_core::serve::client;
 use neuspin_core::{
     serve, telemetry, DieFleet, HardwareConfig, HardwareModel, HealthConfig, HealthPolicy,
@@ -61,7 +62,6 @@ const CLIENTS: usize = 4;
 const MASTER_SEED: u64 = 0x5E84_0001;
 /// Device-hours of conductance drift applied to die 0 mid-traffic.
 const AGE_HOURS: f64 = 500.0;
-const DEFAULT_P99_MS: f64 = 500.0;
 
 struct Params {
     arch: ArchConfig,
@@ -261,152 +261,70 @@ neuspin_core::impl_to_json!(Report {
     slo_latency_burn,
 });
 
-fn finite_num(obj: &json::Json, key: &str) -> Result<f64, String> {
-    match obj.get(key).and_then(json::Json::as_f64) {
-        Some(v) if v.is_finite() => Ok(v),
-        Some(v) => Err(format!("key {key} is non-finite ({v})")),
-        None => Err(format!("missing numeric key {key}")),
-    }
-}
-
-fn check_results() -> ExitCode {
-    let path = results_dir().join("exp_serving.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let get = |key: &str| finite_num(&value, key);
-    let fail = |why: String| {
-        eprintln!("check failed: {why}");
-        ExitCode::FAILURE
-    };
+fn check() -> Result<String, String> {
+    let artifact = Artifact::result("exp_serving.json")?;
+    let report = artifact.root();
 
     // 1. Zero drops: every request got a terminal 200 — nothing lost
     //    to the degradation, nothing timed out, nothing unserveable.
-    let total = match get("total_requests") {
-        Ok(v) if v > 0.0 => v,
-        Ok(v) => return fail(format!("total_requests must be positive, got {v}")),
-        Err(e) => return fail(e),
-    };
+    let total = report.num("total_requests")?;
+    report.ensure(total > 0.0, || format!("total_requests must be positive, got {total}"))?;
     for key in ["dropped", "unserveable", "deadline_expired"] {
-        match get(key) {
-            Ok(0.0) => {}
-            Ok(v) => return fail(format!("{key} must be 0, got {v}")),
-            Err(e) => return fail(e),
-        }
+        report.expect(key, 0.0)?;
     }
-    match get("responses_200") {
-        Ok(v) if v == total => {}
-        Ok(v) => return fail(format!("responses_200 = {v}, want every one of {total}")),
-        Err(e) => return fail(e),
-    }
-    match get("stats_conserved") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("request-conservation law violated (flag {v})")),
-        Err(e) => return fail(e),
-    }
+    report.expect("responses_200", total)?;
+    // The server's request-conservation law held at quiescence.
+    report.expect("stats_conserved", 1.0)?;
 
     // 2. Failover engaged: the latching batch's samples were re-served
     //    on a healthy die (and/or whole batches were retried).
-    let failovers = get("failovers").unwrap_or(0.0);
-    let retries = get("sample_retries").unwrap_or(0.0);
-    if failovers + retries < 1.0 {
-        return fail(format!(
-            "failover never engaged (failovers {failovers}, sample_retries {retries})"
-        ));
-    }
+    let failovers = report.num("failovers")?;
+    let retries = report.num("sample_retries")?;
+    report.ensure(failovers + retries >= 1.0, || {
+        format!("failover never engaged (failovers {failovers}, sample_retries {retries})")
+    })?;
 
     // 3. The degraded die latched Abstain and went quiet.
-    match get("die0_latched_abstain") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("die 0 must latch Abstain, got flag {v}")),
-        Err(e) => return fail(e),
-    }
-    match get("die0_served_after_latch") {
-        Ok(0.0) => {}
-        Ok(v) => return fail(format!("die 0 served {v} samples after its Abstain latch")),
-        Err(e) => return fail(e),
-    }
-    match value.get("die_tiers").and_then(json::Json::as_arr) {
-        Some(tiers) if !tiers.is_empty() => {
-            let die0 = tiers[0].as_f64().unwrap_or(-1.0);
-            if die0 != f64::from(HealthPolicy::Abstain.tier_index()) {
-                return fail(format!("die_tiers[0] = {die0}, want Abstain (3)"));
-            }
-        }
-        _ => return fail("missing die_tiers array".to_string()),
-    }
+    report.expect("die0_latched_abstain", 1.0)?;
+    report.expect("die0_served_after_latch", 0.0)?;
+    let abstain = f64::from(HealthPolicy::Abstain.tier_index());
+    let die0 = report.nums("die_tiers")?[0];
+    report.ensure(die0 == abstain, || format!("die_tiers[0] = {die0}, want Abstain ({abstain})"))?;
 
     // 4. Latency: p99 under budget, percentiles ordered.
-    let (p50, p95, p99) = match (get("p50_ms"), get("p95_ms"), get("p99_ms")) {
-        (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return fail(e),
-    };
-    if !(0.0 < p50 && p50 <= p95 && p95 <= p99) {
-        return fail(format!("percentiles disordered: p50 {p50}, p95 {p95}, p99 {p99}"));
-    }
-    if p99 > DEFAULT_P99_MS {
-        return fail(format!("p99 {p99:.1} ms over the {DEFAULT_P99_MS:.0} ms budget"));
-    }
+    let (p50, p95, p99) = (report.num("p50_ms")?, report.num("p95_ms")?, report.num("p99_ms")?);
+    report.ensure(0.0 < p50 && p50 <= p95 && p95 <= p99, || {
+        format!("percentiles disordered: p50_ms {p50}, p95_ms {p95}, p99_ms {p99}")
+    })?;
+    report.ensure(p99 <= P99_BUDGET_MS, || {
+        format!("p99_ms {p99:.1} over the {P99_BUDGET_MS:.0} ms budget")
+    })?;
 
     // 5. Per-die health-tier gauges made it into the exposition.
-    match get("gauges_reported") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("per-die tier gauges missing from exposition ({v})")),
-        Err(e) => return fail(e),
-    }
-    let prom_path = results_dir().join("exp_serving_prometheus.txt");
-    if let Err(e) = std::fs::read_to_string(&prom_path) {
-        return fail(format!("cannot read {}: {e}", prom_path.display()));
-    }
+    report.expect("gauges_reported", 1.0)?;
+    artifact::read(&results_dir().join("exp_serving_prometheus.txt"))?;
 
     // 6. Lineage: every 200 carried a parseable trace header naming
     //    the serving die; the stage waterfall histograms observed every
     //    answer on the tuned buckets; the SLO window shows a clean
     //    campaign (availability 1, zero availability burn).
-    match get("traced_200") {
-        Ok(v) if v == total => {}
-        Ok(v) => return fail(format!("traced_200 = {v}, want every one of {total}")),
-        Err(e) => return fail(e),
-    }
-    match get("stage_histograms_ok") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("stage waterfall histograms incomplete (flag {v})")),
-        Err(e) => return fail(e),
-    }
-    match get("slo_availability") {
-        Ok(1.0) => {}
-        Ok(v) => return fail(format!("slo availability must be 1 on an all-200 run, got {v}")),
-        Err(e) => return fail(e),
-    }
-    match get("slo_availability_burn") {
-        Ok(0.0) => {}
-        Ok(v) => return fail(format!("availability burn must be 0 on an all-200 run, got {v}")),
-        Err(e) => return fail(e),
-    }
+    report.expect("traced_200", total)?;
+    report.expect("stage_histograms_ok", 1.0)?;
+    report.expect("slo_availability", 1.0)?;
+    report.expect("slo_availability_burn", 0.0)?;
 
-    println!(
+    Ok(format!(
         "exp_serving.json: {total} requests, zero drops, failover engaged \
          ({failovers} batch + {retries} sample), die 0 latched+quiet, \
-         p50/p95/p99 {p50:.1}/{p95:.1}/{p99:.1} ms (budget {DEFAULT_P99_MS:.0})",
-    );
-    ExitCode::SUCCESS
+         p50/p95/p99 {p50:.1}/{p95:.1}/{p99:.1} ms (budget {P99_BUDGET_MS:.0})",
+    ))
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
+
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
     let p = params(fast);
     let input_len = p.arch.side * p.arch.side;
@@ -585,17 +503,8 @@ fn main() -> ExitCode {
     };
 
     write_json("exp_serving", &report);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("cannot create results dir");
-    let prom_path = dir.join("exp_serving_prometheus.txt");
-    std::fs::write(&prom_path, &prometheus).expect("cannot write Prometheus exposition");
-    println!("[wrote {}]", prom_path.display());
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    std::fs::create_dir_all(&root).expect("cannot create bench root");
-    let bench_path = std::path::Path::new(&root).join("BENCH_serving.json");
-    std::fs::write(&bench_path, report.to_json().to_string_pretty())
-        .expect("cannot write BENCH_serving.json");
-    println!("[wrote {}]", bench_path.display());
+    write_side("exp_serving_prometheus.txt", &prometheus);
+    write_bench("serving", &report);
 
     if !die0_latched || dropped > 0 || !drain.drained {
         eprintln!("serving gate FAILED (see report)");

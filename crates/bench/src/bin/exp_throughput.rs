@@ -52,20 +52,18 @@
 //! scoped workers time-share one CPU); the kernel speedup carried by
 //! every non-reference engine is the hardware-independent win.
 
-use neuspin_bayes::{ArchConfig, Method};
 use neuspin_bench::allocs::count_allocs;
-use neuspin_bench::timing::{Harness, Measurement};
-use neuspin_bench::{results_dir, write_json, Setup};
-use neuspin_cim::{BistConfig, Crossbar, KernelPolicy};
-use neuspin_core::json::{self, ToJson};
-use neuspin_core::{HardwareConfig, HardwareModel, ThreadPool};
-use neuspin_data::digits::dataset;
+use neuspin_bench::artifact::{self, Artifact};
+use neuspin_bench::scenarios::{self, PREDICT_SEED};
+use neuspin_bench::timing::{time_ns_per_call, Harness, Measurement};
+use neuspin_bench::{write_bench, write_json};
+use neuspin_cim::{Crossbar, KernelPolicy};
+use neuspin_core::ThreadPool;
 use neuspin_device::DefectRates;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// Minimum packed-over-rowmajor throughput ratio on engaged rows —
 /// the `--check` regression gate (the acceptance floor; measured
@@ -250,220 +248,100 @@ const ALLOC_KEYS: [&str; 6] = [
     "plan_scratch_bytes",
 ];
 
-/// Best-of-`reps` wall time of `calls` back-to-back invocations,
-/// reported as nanoseconds per call.
-fn time_ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..calls {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best * 1e9 / calls as f64
-}
-
-fn finite_num(row: &json::Json, key: &str) -> Result<f64, String> {
-    match row.get(key).and_then(json::Json::as_f64) {
-        Some(v) if v.is_finite() => Ok(v),
-        Some(v) => Err(format!("key {key} is non-finite ({v})")),
-        None => Err(format!("missing numeric key {key}")),
-    }
-}
-
-fn check_results() -> ExitCode {
-    let path = results_dir().join("exp_throughput.json");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check failed: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("check failed: invalid JSON in {}: {e:?}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let isa = value.get("kernel_isa").and_then(json::Json::as_str);
-    if !isa.is_some_and(|isa| KERNEL_ISAS.contains(&isa)) {
-        eprintln!("check failed: kernel_isa {isa:?} is not one of {KERNEL_ISAS:?}");
-        return ExitCode::FAILURE;
-    }
-    let Some(kernel) = value.get("kernel").and_then(json::Json::as_arr) else {
-        eprintln!("check failed: missing kernel array");
-        return ExitCode::FAILURE;
-    };
-    let Some(mc) = value.get("mc").and_then(json::Json::as_arr) else {
-        eprintln!("check failed: missing mc array");
-        return ExitCode::FAILURE;
-    };
-    if kernel.is_empty() || mc.is_empty() {
-        eprintln!("check failed: empty kernel or mc section");
-        return ExitCode::FAILURE;
-    }
+fn check() -> Result<String, String> {
+    let artifact = Artifact::result("exp_throughput.json")?;
+    let report = artifact.root();
+    let isa = report.text("kernel_isa")?;
+    report.ensure(KERNEL_ISAS.contains(&isa), || {
+        format!("kernel_isa {isa:?} is not one of {KERNEL_ISAS:?}")
+    })?;
+    let kernel = report.rows("kernel")?;
     let mut engaged_rows = 0usize;
-    for (i, row) in kernel.iter().enumerate() {
+    for row in &kernel {
         for key in KERNEL_KEYS {
-            if let Err(e) = finite_num(row, key) {
-                eprintln!("check failed: kernel row {i}: {e}");
-                return ExitCode::FAILURE;
-            }
+            row.num(key)?;
         }
-        let speedup = finite_num(row, "kernel_speedup").unwrap();
-        if speedup <= 0.0 {
-            eprintln!("check failed: kernel row {i}: non-positive speedup {speedup}");
-            return ExitCode::FAILURE;
-        }
+        let speedup = row.num("kernel_speedup")?;
+        row.ensure(speedup > 0.0, || format!("non-positive kernel_speedup {speedup}"))?;
         // The packed regression gate: on rows where the Auto policy
         // engaged the XNOR/popcount kernel, it must clear the floor
         // over the rowmajor scalar kernel.
-        if finite_num(row, "packed_engaged").unwrap() == 1.0 {
+        if row.num("packed_engaged")? == 1.0 {
             engaged_rows += 1;
-            let ratio = finite_num(row, "packed_vs_rowmajor").unwrap();
-            if ratio < PACKED_FLOOR {
-                eprintln!(
-                    "check failed: kernel row {i}: packed_vs_rowmajor {ratio:.2} below the {PACKED_FLOOR}x floor"
-                );
-                return ExitCode::FAILURE;
-            }
+            let ratio = row.num("packed_vs_rowmajor")?;
+            row.ensure(ratio >= PACKED_FLOOR, || {
+                format!("packed_vs_rowmajor {ratio:.2} below the {PACKED_FLOOR}x floor")
+            })?;
         }
     }
-    if engaged_rows == 0 {
-        eprintln!("check failed: no kernel row engaged the packed kernel");
-        return ExitCode::FAILURE;
+    report.ensure(engaged_rows > 0, || "no kernel row engaged the packed kernel".to_string())?;
+    // Percentile rows: ordered finite tails per measurement.
+    for row in report.rows("kernel_timing")? {
+        let (p50, p95, p99) = (row.num("p50_ns")?, row.num("p95_ns")?, row.num("p99_ns")?);
+        row.ensure(p50 <= p95 && p95 <= p99, || {
+            format!("unordered percentiles {p50}/{p95}/{p99}")
+        })?;
     }
-    // Additive percentile rows: ordered finite tails per measurement.
-    if let Some(timing) = value.get("kernel_timing").and_then(json::Json::as_arr) {
-        for (i, row) in timing.iter().enumerate() {
-            let (p50, p95, p99) = match (
-                finite_num(row, "p50_ns"),
-                finite_num(row, "p95_ns"),
-                finite_num(row, "p99_ns"),
-            ) {
-                (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-                _ => {
-                    eprintln!("check failed: kernel_timing row {i}: bad percentiles");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if !(p50 <= p95 && p95 <= p99) {
-                eprintln!(
-                    "check failed: kernel_timing row {i}: unordered percentiles {p50}/{p95}/{p99}"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let fast_mode = finite_num(&value, "fast_mode").unwrap_or(1.0) == 1.0;
+    let fast_mode = report.num("fast_mode")? == 1.0;
+    let mc = report.rows("mc")?;
     let mut par_threads = Vec::new();
     let mut gated_seq_rows = 0usize;
-    for (i, row) in mc.iter().enumerate() {
-        let Some(engine) = row.get("engine").and_then(json::Json::as_str) else {
-            eprintln!("check failed: mc row {i} missing engine string");
-            return ExitCode::FAILURE;
-        };
-        let speedup_keys = ["speedup_vs_seq_reference", "speedup_vs_recorded_baseline"];
+    for row in &mc {
+        let engine = row.text("engine")?;
         for key in MC_KEYS {
-            match finite_num(row, key) {
-                Ok(v) if !speedup_keys.contains(&key) && v <= 0.0 => {
-                    eprintln!("check failed: mc row {i}: non-positive {key} ({v})");
-                    return ExitCode::FAILURE;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("check failed: mc row {i}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let speedup = finite_num(row, "speedup_vs_seq_reference").unwrap();
-        if speedup <= 0.0 {
-            eprintln!("check failed: mc row {i}: non-positive speedup {speedup}");
-            return ExitCode::FAILURE;
+            let v = row.num(key)?;
+            // The recorded-baseline ratio is 0 where no baseline applies.
+            row.ensure(key == "speedup_vs_recorded_baseline" || v > 0.0, || {
+                format!("non-positive {key} ({v})")
+            })?;
         }
         // The end-to-end regression gate: every full-mode `seq` row
         // with a recorded baseline must clear the floor. Fast-mode runs
         // measure a different workload, so the ratio is 0 (ungated)
         // there — the alloc gates below still apply.
-        if engine == "seq" && !fast_mode {
-            let vs_recorded = finite_num(row, "speedup_vs_recorded_baseline").unwrap();
-            if vs_recorded > 0.0 {
-                gated_seq_rows += 1;
-                if vs_recorded < MC_SPEEDUP_FLOOR {
-                    eprintln!(
-                        "check failed: mc row {i}: seq speedup {vs_recorded:.2} below the {MC_SPEEDUP_FLOOR}x recorded-baseline floor"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
+        let vs_recorded = row.num("speedup_vs_recorded_baseline")?;
+        if engine == "seq" && !fast_mode && vs_recorded > 0.0 {
+            gated_seq_rows += 1;
+            row.ensure(vs_recorded >= MC_SPEEDUP_FLOOR, || {
+                format!(
+                    "seq speedup_vs_recorded_baseline {vs_recorded:.2} below the \
+                     {MC_SPEEDUP_FLOOR}x floor"
+                )
+            })?;
         }
-        if engine == "par" {
-            let t = finite_num(row, "threads").unwrap();
-            if !par_threads.contains(&t) {
-                par_threads.push(t);
-            }
+        let threads = row.num("threads")?;
+        if engine == "par" && !par_threads.contains(&threads) {
+            par_threads.push(threads);
         }
     }
-    if par_threads.len() < 2 {
-        eprintln!(
-            "check failed: need par rows for >= 2 thread counts, got {par_threads:?}"
-        );
-        return ExitCode::FAILURE;
-    }
-    if !fast_mode && gated_seq_rows == 0 {
-        eprintln!("check failed: full-mode report has no recorded-baseline seq row to gate");
-        return ExitCode::FAILURE;
-    }
+    report.ensure(par_threads.len() >= 2, || {
+        format!("need par rows for >= 2 thread counts, got {par_threads:?}")
+    })?;
+    report.ensure(fast_mode || gated_seq_rows > 0, || {
+        "full-mode report has no recorded-baseline seq row to gate".to_string()
+    })?;
     // The zero-allocation gate: a steady-state MC pass must not touch
     // the heap — directly (counted forward_planned loop) and
     // differentially (extra predict_seeded passes add nothing).
-    let Some(alloc) = value.get("alloc").and_then(json::Json::as_arr) else {
-        eprintln!("check failed: missing alloc array");
-        return ExitCode::FAILURE;
-    };
-    if alloc.is_empty() {
-        eprintln!("check failed: empty alloc section");
-        return ExitCode::FAILURE;
-    }
-    for (i, row) in alloc.iter().enumerate() {
+    let alloc = report.rows("alloc")?;
+    for row in &alloc {
         for key in ALLOC_KEYS {
-            if let Err(e) = finite_num(row, key) {
-                eprintln!("check failed: alloc row {i}: {e}");
-                return ExitCode::FAILURE;
-            }
+            row.num(key)?;
         }
-        let warm = finite_num(row, "warm_alloc_events").unwrap();
-        if warm != 0.0 {
-            eprintln!(
-                "check failed: alloc row {i}: {warm} allocation events in the warm planned forward (must be 0)"
-            );
-            return ExitCode::FAILURE;
-        }
-        let per_pass = finite_num(row, "allocs_per_extra_pass").unwrap();
-        if per_pass != 0.0 {
-            eprintln!(
-                "check failed: alloc row {i}: {per_pass} allocation events per extra MC pass (must be 0)"
-            );
-            return ExitCode::FAILURE;
-        }
-        if finite_num(row, "plan_scratch_bytes").unwrap() <= 0.0 {
-            eprintln!("check failed: alloc row {i}: plan scratch is empty");
-            return ExitCode::FAILURE;
-        }
+        row.expect("warm_alloc_events", 0.0)?;
+        row.expect("allocs_per_extra_pass", 0.0)?;
+        let scratch = row.num("plan_scratch_bytes")?;
+        row.ensure(scratch > 0.0, || format!("plan_scratch_bytes must be positive, got {scratch}"))?;
     }
-    println!(
-        "exp_throughput.json: {} kernel rows, {} mc rows ({} par thread counts, {} gated seq rows), {} alloc rows (all zero-steady-state), schema OK, all finite",
+    Ok(format!(
+        "exp_throughput.json: {} kernel rows, {} mc rows ({} par thread counts, {} gated seq \
+         rows), {} alloc rows (all zero-steady-state), schema OK, all finite",
         kernel.len(),
         mc.len(),
         par_threads.len(),
         gated_seq_rows,
         alloc.len(),
-    );
-    ExitCode::SUCCESS
+    ))
 }
 
 /// Times `matvec` under each of the three kernel policies on the same
@@ -497,7 +375,7 @@ fn time_policies(
 ///   defects only) with ±1 inputs, remapped and partially gated: the
 ///   packed XNOR/popcount regime (`packed_engaged = 1`, CI-gated).
 fn kernel_bench(fast: bool) -> (Vec<KernelRow>, Vec<Measurement>) {
-    let (rows, cols) = if fast { (96, 48) } else { (256, 64) };
+    let (rows, cols) = scenarios::tile_shape(fast);
     let (reps, calls) = if fast { (4, 100) } else { (5, 400) };
     let ops = 2.0 * rows as f64 * cols as f64;
     // Percentile profile of the same kernels through the shared Bencher
@@ -507,22 +385,8 @@ fn kernel_bench(fast: bool) -> (Vec<KernelRow>, Vec<Measurement>) {
     let mut kernel = Vec::new();
 
     // --- analog row ---
-    let config = neuspin_cim::CrossbarConfig {
-        defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
-        read_noise: 0.05,
-        adc_bits: Some(6),
-        ir_drop: 0.05,
-        ..Default::default()
-    };
-    let weights: Vec<f32> =
-        (0..rows * cols).map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 }).collect();
-    let mut rng = StdRng::seed_from_u64(0x7412_0001);
-    let mut xbar = Crossbar::program(&weights, rows, cols, &config, &mut rng);
-    xbar.apply_remap(
-        (0..rows).map(|i| (i + 11) % rows).collect(),
-        (0..cols).map(|i| (i + 3) % cols).collect(),
-    );
-    let input: Vec<f32> = (0..rows).map(|i| ((i * 5) % 9) as f32 / 4.0 - 1.0).collect();
+    let weights = scenarios::tile_weights(rows, cols);
+    let (mut xbar, input) = scenarios::analog_tile(&weights, rows, cols);
     let (reference_ns, rowmajor_ns, auto_ns) = time_policies(&mut xbar, &input, reps, calls);
     assert_eq!(xbar.packed_calls(), 0, "packed kernel must not engage on the analog tile");
     xbar.set_kernel_policy(KernelPolicy::Reference);
@@ -615,9 +479,10 @@ fn kernel_bench(fast: bool) -> (Vec<KernelRow>, Vec<Measurement>) {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--check") {
-        return check_results();
-    }
+    artifact::main(run, check)
+}
+
+fn run() -> ExitCode {
     let fast = neuspin_bench::fast_mode();
 
     println!("== Throughput baseline: crossbar kernels + parallel MC engine ==");
@@ -641,60 +506,9 @@ fn main() -> ExitCode {
     }
     println!();
 
-    // The throughput model uses paper-scale layer widths (NeuSpin's
-    // backbones are VGG-small-class networks, not 8-channel toys): the
-    // conv-2 and FC crossbars then have hundreds of word lines, which is
-    // the regime the row-major kernel targets. Accuracy is irrelevant
-    // here, so one training epoch suffices.
-    let setup = if fast {
-        Setup {
-            arch: ArchConfig { c1: 16, c2: 32, hidden: 128, ..ArchConfig::default() },
-            epochs: 1,
-            train_images: 256,
-            test_images: 64,
-            calib_images: 32,
-            passes: 6,
-            ..Setup::quick()
-        }
-    } else {
-        Setup {
-            arch: ArchConfig { c1: 32, c2: 64, hidden: 256, ..ArchConfig::default() },
-            epochs: 1,
-            passes: 12,
-            ..Setup::quick()
-        }
-    };
     let batches: Vec<usize> = if fast { vec![8, 24] } else { vec![32, 128] };
     let thread_counts = [1usize, 2, 4];
-    const PREDICT_SEED: u64 = 0x7457_0001;
-
-    let (train, calib, _test) = setup.datasets();
-    eprintln!("training SpinDrop backbone ...");
-    let mut model = setup.train(Method::SpinDrop, &train);
-    // Full non-ideality model (the fault-management E2E convention):
-    // defects, 5 % read noise, 6-bit ADCs, and IR drop — the workload
-    // the row-major kernel's precomputed denominator table targets.
-    let hw_config = HardwareConfig {
-        crossbar: neuspin_cim::CrossbarConfig {
-            defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
-            read_noise: 0.05,
-            adc_bits: Some(6),
-            ir_drop: 0.05,
-            ..neuspin_core::reliability_base().crossbar
-        },
-        spare_cols: 4,
-        passes: setup.passes,
-        ..neuspin_core::reliability_base()
-    };
-    let mut hw = HardwareModel::compile(
-        &mut model,
-        Method::SpinDrop,
-        &setup.arch,
-        &hw_config,
-        &mut setup.rng(0x7457),
-    );
-    hw.fault_management(&BistConfig::default(), &mut setup.rng(0x7458));
-    hw.calibrate(&calib.inputs, 2, &mut setup.rng(0x7459));
+    let (mut hw, setup) = scenarios::throughput_model(fast);
 
     let reps = if fast { 1 } else { 3 };
     let passes = setup.passes as f64;
@@ -705,7 +519,7 @@ fn main() -> ExitCode {
         "engine", "threads", "batch", "ms/predict", "mc passes/s", "preds/s", "speedup"
     );
     for &batch in &batches {
-        let inputs = dataset(batch, &setup.style, &mut setup.rng(0x7460 + batch as u64)).inputs;
+        let inputs = scenarios::batch_inputs(&setup, batch);
 
         hw.set_kernel_policy(KernelPolicy::Reference);
         let expect = hw.predict_seeded(&inputs, PREDICT_SEED);
@@ -841,11 +655,6 @@ fn main() -> ExitCode {
     println!("\n→ every engine returns bit-identical Predictive (asserted above);");
     println!("  on few-core hosts the kernel speedup, not thread scaling, is the win.");
     write_json("exp_throughput", &report);
-    let root = std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
-    let bench_path = std::path::Path::new(&root).join("BENCH_throughput.json");
-    std::fs::create_dir_all(&root).expect("cannot create bench root");
-    std::fs::write(&bench_path, report.to_json().to_string_pretty())
-        .expect("cannot write BENCH_throughput.json");
-    println!("[wrote {}]", bench_path.display());
+    write_bench("throughput", &report);
     ExitCode::SUCCESS
 }

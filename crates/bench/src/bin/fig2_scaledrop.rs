@@ -15,7 +15,7 @@
 
 use neuspin_bayes::Method;
 use neuspin_bench::write_json;
-use neuspin_cim::ScaleDropModule;
+use neuspin_cim::SpinDropModule;
 use neuspin_device::{stats::Running, MtjParams, VariationModel, VariedParams};
 use neuspin_energy::{
     estimate_method_energy, estimate_method_latency, LatencyModel, MethodProfile, NetworkSpec,
@@ -47,7 +47,7 @@ fn main() {
     let mut open_loop = Running::new();
     let mut closed_loop = Running::new();
     for _ in 0..200 {
-        let mut module = ScaleDropModule::new(target, 64, corner, &mut rng);
+        let mut module = SpinDropModule::new(target, corner, &mut rng);
         open_loop.push(module.realized_p());
         module.tune(200, 0.01, &mut rng);
         closed_loop.push(module.realized_p());

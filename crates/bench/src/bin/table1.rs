@@ -11,7 +11,7 @@
 //!
 //! ```sh
 //! cargo run --release -p neuspin-bench --bin table1
-//! NEUSPIN_QUICK=1 cargo run --release -p neuspin-bench --bin table1   # smoke test
+//! NEUSPIN_BENCH_FAST=1 cargo run --release -p neuspin-bench --bin table1   # smoke test
 //! ```
 
 use neuspin_bayes::Method;

@@ -20,6 +20,10 @@
 //! | `exp_spinbayes` | §III-B2 instance-count study + segmentation |
 //! | `exp_device` | §II-A device characterization |
 //! | `exp_serving` | edge serving: fleet failover under mid-traffic degradation |
+//!
+//! The six gated campaigns (`exp_faultmgmt`, `exp_throughput`,
+//! `exp_observe`, `exp_lifetime`, `exp_serving`, `exp_chaos`) re-read
+//! their own artifacts under `--check` through [`artifact`].
 
 use neuspin_bayes::{build_cnn, ArchConfig, Method};
 use neuspin_core::json::ToJson;
@@ -29,14 +33,20 @@ use rand::rngs::StdRng;
 use std::path::PathBuf;
 
 pub mod allocs;
+pub mod artifact;
 pub mod scenarios;
 pub mod timing;
 
 /// Whether `NEUSPIN_BENCH_FAST=1` asks for the seconds-long smoke pass
-/// (shrunken grids, budgets and training) instead of the full run.
+/// (shrunken grids, budgets and training) instead of the full run. The
+/// harness's one smoke switch: [`Setup::from_env`] reads it too.
 pub fn fast_mode() -> bool {
     std::env::var("NEUSPIN_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
 }
+
+/// Client-side p99 latency budget (ms) of the serving and chaos
+/// campaigns, gated by their `--check`.
+pub const P99_BUDGET_MS: f64 = 500.0;
 
 /// Where result JSON files land (`results/` at the workspace root).
 pub fn results_dir() -> PathBuf {
@@ -46,6 +56,12 @@ pub fn results_dir() -> PathBuf {
     path
 }
 
+/// Where the headline `BENCH_<campaign>.json` files land: the
+/// workspace root, or `NEUSPIN_BENCH_ROOT` when set.
+pub fn bench_root() -> PathBuf {
+    PathBuf::from(std::env::var("NEUSPIN_BENCH_ROOT").unwrap_or_else(|_| ".".to_string()))
+}
+
 /// Serializes `value` to `results/<name>.json` (pretty-printed, via the
 /// workspace's hand-rolled JSON writer in `neuspin_core::json`).
 pub fn write_json<T: ToJson>(name: &str, value: &T) {
@@ -53,6 +69,23 @@ pub fn write_json<T: ToJson>(name: &str, value: &T) {
     let json = value.to_json().to_string_pretty();
     std::fs::write(&path, json).expect("cannot write result file");
     println!("\n[wrote {}]", path.display());
+}
+
+/// Writes a campaign's side file (trace JSONL, Prometheus exposition)
+/// to `results/<file>`.
+pub fn write_side(file: &str, contents: &str) {
+    let path = results_dir().join(file);
+    std::fs::write(&path, contents).expect("cannot write result side file");
+    println!("[wrote {}]", path.display());
+}
+
+/// Serializes `value` to `BENCH_<name>.json` under [`bench_root`].
+pub fn write_bench<T: ToJson>(name: &str, value: &T) {
+    let root = bench_root();
+    std::fs::create_dir_all(&root).expect("cannot create bench root");
+    let path = root.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, value.to_json().to_string_pretty()).expect("cannot write bench file");
+    println!("[wrote {}]", path.display());
 }
 
 /// The standard experiment setup shared by the training-based benches.
@@ -104,9 +137,10 @@ impl Setup {
         }
     }
 
-    /// Reads `NEUSPIN_QUICK=1` to switch to the quick setup.
+    /// The quick setup under `NEUSPIN_BENCH_FAST=1` ([`fast_mode`]),
+    /// the default one otherwise.
     pub fn from_env() -> Self {
-        if std::env::var("NEUSPIN_QUICK").map(|v| v == "1").unwrap_or(false) {
+        if fast_mode() {
             Self::quick()
         } else {
             Self::default()

@@ -1,4 +1,4 @@
-//! Shared hardware-severity scenario builders.
+//! Shared scenario builders.
 //!
 //! The reliability campaigns (`exp_selfheal`, `exp_faultmgmt`,
 //! `exp_lifetime`) stress the same physical knobs — programming
@@ -7,9 +7,22 @@
 //! defect-rate → [`HardwareConfig`] recipes. This module is the single
 //! place those recipes live, so the experiments agree on what
 //! "defect rate 0.01" means.
+//!
+//! It also holds the throughput workload — [`throughput_model`],
+//! [`batch_inputs`], [`analog_tile`] and [`PREDICT_SEED`] —
+//! which `exp_throughput` times and `exp_observe` re-times and traces:
+//! `exp_observe`'s overhead gate compares against `exp_throughput`'s
+//! numbers, so both must build the very same model, inputs and tile.
 
-use neuspin_core::{reliability_base, HardwareConfig, SweepKind};
+use crate::Setup;
+use neuspin_bayes::{ArchConfig, Method};
+use neuspin_cim::{BistConfig, Crossbar, CrossbarConfig};
+use neuspin_core::{reliability_base, HardwareConfig, HardwareModel, SweepKind};
+use neuspin_data::digits::dataset;
 use neuspin_device::DefectRates;
+use neuspin_nn::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One named severity sweep: which non-ideality axis to stress and the
 /// grid of severities to stress it at.
@@ -62,7 +75,7 @@ pub fn hard_fault_rates(rate: f64) -> DefectRates {
 pub fn faulty_hardware_config(defect_rate: f64, spare_cols: usize, passes: usize) -> HardwareConfig {
     let base = reliability_base();
     HardwareConfig {
-        crossbar: neuspin_cim::CrossbarConfig {
+        crossbar: CrossbarConfig {
             defect_rates: hard_fault_rates(defect_rate),
             ..base.crossbar
         },
@@ -70,6 +83,106 @@ pub fn faulty_hardware_config(defect_rate: f64, spare_cols: usize, passes: usize
         passes,
         ..base
     }
+}
+
+/// MC seed of every throughput-workload prediction.
+pub const PREDICT_SEED: u64 = 0x7457_0001;
+
+/// The throughput CNN at paper-scale layer widths (NeuSpin's backbones
+/// are VGG-small-class networks, not 8-channel toys: the conv-2 and FC
+/// crossbars then have hundreds of word lines, the regime the row-major
+/// kernel targets), trained for one epoch — accuracy is irrelevant here
+/// — and compiled under the full non-ideality model (defects, 5 % read
+/// noise, 6-bit ADCs, IR drop), then fault-managed and calibrated.
+/// Returns the die and the setup [`batch_inputs`] draws from.
+pub fn throughput_model(fast: bool) -> (HardwareModel, Setup) {
+    let setup = if fast {
+        Setup {
+            arch: ArchConfig { c1: 16, c2: 32, hidden: 128, ..ArchConfig::default() },
+            epochs: 1,
+            train_images: 256,
+            test_images: 64,
+            calib_images: 32,
+            passes: 6,
+            ..Setup::quick()
+        }
+    } else {
+        Setup {
+            arch: ArchConfig { c1: 32, c2: 64, hidden: 256, ..ArchConfig::default() },
+            epochs: 1,
+            passes: 12,
+            ..Setup::quick()
+        }
+    };
+    let (train, calib, _test) = setup.datasets();
+    eprintln!("training SpinDrop backbone ...");
+    let mut model = setup.train(Method::SpinDrop, &train);
+    let hw_config = HardwareConfig {
+        crossbar: CrossbarConfig {
+            defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
+            read_noise: 0.05,
+            adc_bits: Some(6),
+            ir_drop: 0.05,
+            ..reliability_base().crossbar
+        },
+        spare_cols: 4,
+        passes: setup.passes,
+        ..reliability_base()
+    };
+    let mut hw = HardwareModel::compile(
+        &mut model,
+        Method::SpinDrop,
+        &setup.arch,
+        &hw_config,
+        &mut setup.rng(0x7457),
+    );
+    hw.fault_management(&BistConfig::default(), &mut setup.rng(0x7458));
+    hw.calibrate(&calib.inputs, 2, &mut setup.rng(0x7459));
+    (hw, setup)
+}
+
+/// The throughput workload's input batch of `batch` digits.
+pub fn batch_inputs(setup: &Setup, batch: usize) -> Tensor {
+    dataset(batch, &setup.style, &mut setup.rng(0x7460 + batch as u64)).inputs
+}
+
+/// The kernel micro-bench's tile shape, `(rows, cols)`.
+pub fn tile_shape(fast: bool) -> (usize, usize) {
+    if fast {
+        (96, 48)
+    } else {
+        (256, 64)
+    }
+}
+
+/// The ±1 weight pattern of the kernel micro-bench tiles.
+pub fn tile_weights(rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols).map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 }).collect()
+}
+
+/// The analog kernel tile programmed with `weights` (from
+/// [`tile_weights`]) and its input: a remapped, IR-dropped,
+/// ADC-quantized array with read noise and hard faults, which every
+/// feature of the row-major kernel touches and the packed kernel cannot
+/// serve. Both campaigns keep `weights` alive while they time the tile:
+/// its timing follows where its buffers and the per-call output land on
+/// the heap, and `exp_observe`'s 2 % gate compares the two timings.
+pub fn analog_tile(weights: &[f32], rows: usize, cols: usize) -> (Crossbar, Vec<f32>) {
+    let config = CrossbarConfig {
+        defect_rates: DefectRates { short: 0.005, open: 0.005, ..DefectRates::none() },
+        read_noise: 0.05,
+        adc_bits: Some(6),
+        ir_drop: 0.05,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(0x7412_0001);
+    let mut xbar = Crossbar::program(weights, rows, cols, &config, &mut rng);
+    xbar.apply_remap(
+        (0..rows).map(|i| (i + 11) % rows).collect(),
+        (0..cols).map(|i| (i + 3) % cols).collect(),
+    );
+    let input = (0..rows).map(|i| ((i * 5) % 9) as f32 / 4.0 - 1.0).collect();
+    (xbar, input)
 }
 
 #[cfg(test)]

@@ -154,6 +154,21 @@ pub fn percentile(sorted_ns: &[f64], q: f64) -> f64 {
     sorted_ns[rank.clamp(1, n) - 1]
 }
 
+/// Best-of-`reps` wall time of `calls` back-to-back invocations of `f`,
+/// as nanoseconds per call: the headline timer of `exp_throughput`,
+/// which `exp_observe` re-runs to gate against its numbers.
+pub fn time_ns_per_call(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best * 1e9 / calls as f64
+}
+
 /// A named collection of benchmarks: times each, prints a table, and
 /// writes `results/bench_<suite>.json`.
 pub struct Harness {

@@ -2,16 +2,17 @@
 //!
 //! All four NeuSpin dropout designs reduce to the same primitive — a
 //! [`SpinRng`] producing calibrated Bernoulli bits — but differ in *how
-//! many* modules a layer needs and *what* each bit gates:
+//! many* modules a layer needs and *what* each bit gates. The first
+//! three are one [`SpinDropModule`] each, placed differently by the
+//! compiled model; the arbiter draws several bits per decision:
 //!
-//! | Module | Gates | Modules per conv layer |
+//! | Design | One decision gates | Modules per conv layer |
 //! |---|---|---|
-//! | [`SpinDropModule`] | one word-line pair (one neuron) | `K·K·C_in` |
-//! | [`SpatialDropModule`] | one feature map (group of rows) | `C_in` |
-//! | [`ScaleDropModule`] | the layer's scale vector | `1` |
-//! | [`Arbiter`] | which of `N` crossbars is read | `⌈log₂N⌉` bits/pass |
+//! | SpinDrop | one word-line pair (one neuron) | `K·K·C_in` |
+//! | Spatial-SpinDrop | one feature map (a row group, via the decoder) | `C_in` |
+//! | SpinScaleDrop | the layer's SRAM scale vector | `1` |
+//! | [`Arbiter`] (SpinBayes) | which of `N` crossbars is read | `⌈log₂N⌉` bits/pass |
 
-use crate::adc::OpCounter;
 use neuspin_device::{SpinRng, SpinRngState, VariedParams};
 use rand::rngs::StdRng;
 
@@ -100,147 +101,6 @@ impl SpinDropModule {
     /// Reapplies a captured device state (see [`SpinRng::restore_state`]).
     pub fn restore_rng_state(&mut self, state: &SpinRngState) {
         self.rng.restore_state(state);
-    }
-}
-
-/// A per-feature-map dropout module (Spatial-SpinDrop, §III-A2): the
-/// same MTJ primitive, but its bit gates a whole group of consecutive
-/// word lines through the multi-enable decoder (Fig. 1), so a conv layer
-/// needs only `C_in` modules instead of `K·K·C_in`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialDropModule {
-    inner: SpinDropModule,
-    /// How many word lines one decision gates (`K·K` for strategy ①, a
-    /// whole `K×K` sub-crossbar for strategy ②).
-    rows_gated: usize,
-}
-
-impl SpatialDropModule {
-    /// Builds a module that gates `rows_gated` word lines per decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ (0, 1)` or `rows_gated == 0`.
-    pub fn new(p: f64, rows_gated: usize, corner: VariedParams, rng: &mut StdRng) -> Self {
-        assert!(rows_gated > 0, "rows_gated must be positive");
-        Self { inner: SpinDropModule::new(p, corner, rng), rows_gated }
-    }
-
-    /// Word lines gated by one decision.
-    pub fn rows_gated(&self) -> usize {
-        self.rows_gated
-    }
-
-    /// The design-target drop probability.
-    pub fn target_p(&self) -> f64 {
-        self.inner.target_p()
-    }
-
-    /// The device's realized probability (oracle).
-    pub fn realized_p(&self) -> f64 {
-        self.inner.realized_p()
-    }
-
-    /// Closed-loop tuning of the underlying module (see
-    /// [`SpinDropModule::tune`]).
-    pub fn tune(&mut self, bits_per_step: u32, tolerance: f64, rng: &mut StdRng)
-        -> neuspin_device::CalibrationReport {
-        self.inner.tune(bits_per_step, tolerance, rng)
-    }
-
-    /// Draws one drop decision for the whole feature map.
-    pub fn sample(&mut self, rng: &mut StdRng) -> bool {
-        self.inner.sample(rng)
-    }
-
-    /// Total RNG bits consumed so far.
-    pub fn bits_used(&self) -> u64 {
-        self.inner.bits_used()
-    }
-
-    /// The underlying device's mutable state for die checkpoints.
-    pub fn rng_state(&self) -> SpinRngState {
-        self.inner.rng_state()
-    }
-
-    /// Reapplies a captured device state (see [`SpinRng::restore_state`]).
-    pub fn restore_rng_state(&mut self, state: &SpinRngState) {
-        self.inner.restore_rng_state(state);
-    }
-}
-
-/// The single per-layer scale-dropout module (SpinScaleDrop, §III-A3).
-///
-/// One stochastic MTJ decides per forward pass whether the layer's
-/// scale vector (held in adjacent SRAM) is applied or bypassed. Because
-/// the MTJ is variation-prone, the *realized* drop probability is a
-/// random variable around the design target — the paper models it as a
-/// Gaussian; here it arises mechanically from the lognormal device
-/// variation in the corner.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaleDropModule {
-    inner: SpinDropModule,
-    scale_len: usize,
-}
-
-impl ScaleDropModule {
-    /// Builds the module for a layer whose scale vector has
-    /// `scale_len` entries (each application costs that many SRAM reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ (0, 1)` or `scale_len == 0`.
-    pub fn new(p: f64, scale_len: usize, corner: VariedParams, rng: &mut StdRng) -> Self {
-        assert!(scale_len > 0, "scale_len must be positive");
-        Self { inner: SpinDropModule::new(p, corner, rng), scale_len }
-    }
-
-    /// Scale-vector length (SRAM words per application).
-    pub fn scale_len(&self) -> usize {
-        self.scale_len
-    }
-
-    /// The design-target drop probability.
-    pub fn target_p(&self) -> f64 {
-        self.inner.target_p()
-    }
-
-    /// The device's realized probability (oracle).
-    pub fn realized_p(&self) -> f64 {
-        self.inner.realized_p()
-    }
-
-    /// Closed-loop tuning of the underlying module (see
-    /// [`SpinDropModule::tune`]).
-    pub fn tune(&mut self, bits_per_step: u32, tolerance: f64, rng: &mut StdRng)
-        -> neuspin_device::CalibrationReport {
-        self.inner.tune(bits_per_step, tolerance, rng)
-    }
-
-    /// Draws the per-pass decision (`true` = bypass the scale vector)
-    /// and tallies the SRAM traffic into `counter`.
-    pub fn sample(&mut self, counter: &mut OpCounter, rng: &mut StdRng) -> bool {
-        counter.rng_bits += 1;
-        let dropped = self.inner.sample(rng);
-        if !dropped {
-            counter.sram_accesses += self.scale_len as u64;
-        }
-        dropped
-    }
-
-    /// Total RNG bits consumed so far.
-    pub fn bits_used(&self) -> u64 {
-        self.inner.bits_used()
-    }
-
-    /// The underlying device's mutable state for die checkpoints.
-    pub fn rng_state(&self) -> SpinRngState {
-        self.inner.rng_state()
-    }
-
-    /// Reapplies a captured device state (see [`SpinRng::restore_state`]).
-    pub fn restore_rng_state(&mut self, state: &SpinRngState) {
-        self.inner.restore_rng_state(state);
     }
 }
 
@@ -372,30 +232,6 @@ mod tests {
             .collect();
         let spread = ps.iter().cloned().fold(0.0f64, |a, p| a.max((p - 0.5).abs()));
         assert!(spread > 0.05, "realized p must spread under variation, got {spread}");
-    }
-
-    #[test]
-    fn spatial_module_gates_multiple_rows() {
-        let mut r = rng();
-        let m = SpatialDropModule::new(0.3, 9, VariedParams::ideal(), &mut r);
-        assert_eq!(m.rows_gated(), 9);
-        assert_eq!(m.target_p(), 0.3);
-    }
-
-    #[test]
-    fn scale_module_counts_sram_traffic() {
-        let mut r = rng();
-        let mut m = ScaleDropModule::new(0.5, 64, VariedParams::ideal(), &mut r);
-        let mut counter = OpCounter::new();
-        let mut kept = 0;
-        for _ in 0..100 {
-            if !m.sample(&mut counter, &mut r) {
-                kept += 1;
-            }
-        }
-        assert_eq!(counter.rng_bits, 100);
-        assert_eq!(counter.sram_accesses, kept * 64);
-        assert!(kept > 20 && kept < 80);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   arrays with programming-time device variation, defect injection,
 //!   cycle-to-cycle read noise, and ADC quantization;
 //! * [`WordlineDecoder`] — multi-enable row decoding (Fig. 1);
-//! * [`SpinDropModule`], [`SpatialDropModule`], [`ScaleDropModule`],
-//!   [`Arbiter`] — the four stochastic-MTJ dropout/selection modules;
+//! * [`SpinDropModule`] and [`Arbiter`] — the stochastic-MTJ dropout
+//!   and selection modules of the four dropout designs;
 //! * [`mapping`] — layer-to-crossbar mapping strategies ①/② with
 //!   module-count reports, plus fault-aware line placement
 //!   ([`fault_aware_remap`]);
@@ -56,9 +56,7 @@ pub use crossbar::{
     MlcCrossbar, MlcCrossbarState, PackedState, SpareColumnState,
 };
 pub use decoder::WordlineDecoder;
-pub use dropout_modules::{
-    Arbiter, ArbiterState, ScaleDropModule, SpatialDropModule, SpinDropModule,
-};
+pub use dropout_modules::{Arbiter, ArbiterState, SpinDropModule};
 pub use mapping::{
     fault_aware_remap, map_conv, map_linear, ArrayLimit, ConvMapping, LayerShape, MappingReport,
     Remap,

@@ -9,7 +9,7 @@
 
 use neuspin_cim::{
     Arbiter, ArbiterState, Crossbar, CrossbarState, MlcCrossbar, MlcCrossbarState, OpCounter,
-    ScaleDropModule, SpatialDropModule, SpinDropModule,
+    SpinDropModule,
 };
 use neuspin_device::SpinRngState;
 use neuspin_nn::conv::{im2col_into, ConvGeometry};
@@ -400,17 +400,19 @@ pub enum HwDropout {
     /// One module per feature map, gating a row group via the decoder.
     PerChannel {
         /// The per-channel modules.
-        modules: Vec<SpatialDropModule>,
+        modules: Vec<SpinDropModule>,
         /// Design drop probability.
         p: f32,
     },
-    /// The single per-layer scale-dropout module + SRAM scale vector.
+    /// The single per-layer scale-dropout module + SRAM scale vector:
+    /// one decision per pass bypasses the scale vector or applies it.
     Scale {
         /// The layer's one module.
-        module: ScaleDropModule,
+        module: SpinDropModule,
         /// Trained scale vector (SRAM contents).
         scale: Vec<f32>,
-        /// Local op tallies.
+        /// Local op tallies: the module's one bit per decision, and one
+        /// SRAM read per scale entry whenever the vector is applied.
         local: OpCounter,
     },
     /// Sub-set VI: gaussian scale samples from the learned posterior.
@@ -476,12 +478,13 @@ impl HwDropout {
                 }
             }
             HwDropout::Scale { module, scale, local } => {
-                let dropped = if stochastic {
-                    module.sample(local, rng)
-                } else {
+                if stochastic {
+                    local.rng_bits += 1;
+                }
+                let dropped = stochastic && module.sample(rng);
+                if !dropped {
                     local.sram_accesses += scale.len() as u64;
-                    false
-                };
+                }
                 if dropped {
                     out.copy_from(x); // scale modulated to identity
                     return;
@@ -534,14 +537,12 @@ impl HwDropout {
 
     pub(crate) fn counter(&self) -> OpCounter {
         match self {
-            HwDropout::PerNeuron { modules, .. } => OpCounter {
-                rng_bits: modules.iter().map(|m| m.bits_used()).sum(),
-                ..OpCounter::new()
-            },
-            HwDropout::PerChannel { modules, .. } => OpCounter {
-                rng_bits: modules.iter().map(|m| m.bits_used()).sum(),
-                ..OpCounter::new()
-            },
+            HwDropout::PerNeuron { modules, .. } | HwDropout::PerChannel { modules, .. } => {
+                OpCounter {
+                    rng_bits: modules.iter().map(|m| m.bits_used()).sum(),
+                    ..OpCounter::new()
+                }
+            }
             HwDropout::Scale { local, .. } => *local,
             HwDropout::ViScale { local, .. } => *local,
         }
@@ -745,7 +746,7 @@ impl HwBlock {
             },
             HwBlock::Dropout(HwDropout::PerChannel { modules, .. }) => {
                 BlockState::DropPerChannel {
-                    modules: modules.iter().map(SpatialDropModule::rng_state).collect(),
+                    modules: modules.iter().map(SpinDropModule::rng_state).collect(),
                 }
             }
             HwBlock::Dropout(HwDropout::Scale { module, local, .. }) => {
@@ -819,13 +820,8 @@ impl HwBlock {
             (
                 HwBlock::Dropout(HwDropout::PerNeuron { modules, .. }),
                 BlockState::DropPerNeuron { modules: states },
-            ) => {
-                population(modules.len() == states.len(), "dropout module")?;
-                for (m, s) in modules.iter_mut().zip(states) {
-                    m.restore_rng_state(s);
-                }
-            }
-            (
+            )
+            | (
                 HwBlock::Dropout(HwDropout::PerChannel { modules, .. }),
                 BlockState::DropPerChannel { modules: states },
             ) => {

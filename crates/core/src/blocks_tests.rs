@@ -2,7 +2,7 @@
 //! `blocks.rs` focused on the implementation).
 
 use crate::blocks::*;
-use neuspin_cim::{Crossbar, CrossbarConfig, OpCounter, ScaleDropModule, SpinDropModule};
+use neuspin_cim::{Crossbar, CrossbarConfig, OpCounter, SpinDropModule};
 use neuspin_device::VariedParams;
 use neuspin_nn::conv::ConvGeometry;
 use neuspin_nn::Tensor;
@@ -160,7 +160,7 @@ fn hw_inv_norm_heals_global_scale_at_block_level() {
 fn hw_dropout_scale_identity_when_dropped() {
     let mut r = rng();
     // p ≈ 1 → always dropped.
-    let module = ScaleDropModule::new(0.999, 3, VariedParams::ideal(), &mut r);
+    let module = SpinDropModule::new(0.999, VariedParams::ideal(), &mut r);
     let mut block = HwDropout::Scale {
         module,
         scale: vec![5.0, 5.0, 5.0],
@@ -177,6 +177,31 @@ fn hw_dropout_scale_identity_when_dropped() {
         }
     }
     assert!(identity_seen);
+}
+
+#[test]
+fn hw_dropout_scale_counts_sram_traffic() {
+    let mut r = rng();
+    let mut block = HwDropout::Scale {
+        module: SpinDropModule::new(0.5, VariedParams::ideal(), &mut r),
+        scale: vec![2.0; 64],
+        local: OpCounter::new(),
+    };
+    let x = Tensor::ones(&[1, 64]);
+    let mut y = Tensor::default();
+    let mut kept = 0u64;
+    for _ in 0..100 {
+        block.forward_into(&x, &mut y, true, &mut r);
+        kept += u64::from(y != x);
+    }
+    // One bit per decision; one SRAM read per entry of an applied vector.
+    assert_eq!(block.counter().rng_bits, 100);
+    assert_eq!(block.counter().sram_accesses, kept * 64);
+    assert!(kept > 20 && kept < 80, "{kept} of 100 kept");
+    // A deterministic pass applies the vector without drawing a bit.
+    block.forward_into(&x, &mut y, false, &mut r);
+    assert_eq!(block.counter().rng_bits, 100);
+    assert_eq!(block.counter().sram_accesses, (kept + 1) * 64);
 }
 
 #[test]
@@ -264,12 +289,12 @@ fn forward_into_twins_are_bit_identical() {
     });
     let per_channel = HwBlock::Dropout(HwDropout::PerChannel {
         modules: (0..3)
-            .map(|_| neuspin_cim::SpatialDropModule::new(0.3, 2, VariedParams::ideal(), &mut r))
+            .map(|_| SpinDropModule::new(0.3, VariedParams::ideal(), &mut r))
             .collect(),
         p: 0.3,
     });
     let scale = HwBlock::Dropout(HwDropout::Scale {
-        module: ScaleDropModule::new(0.5, 3, VariedParams::ideal(), &mut r),
+        module: SpinDropModule::new(0.5, VariedParams::ideal(), &mut r),
         scale: vec![0.8, 1.2, 1.0],
         local: OpCounter::new(),
     });

@@ -200,21 +200,51 @@ fn get<T: Wire>(v: &Json, key: &str) -> R<T> {
     T::take(v.get(key).ok_or_else(|| bad(format!("missing field '{key}'")))?, key)
 }
 
+/// Encodes `x` by its type's own [`Wire`] codec.
+fn put<T: Wire>(x: &T) -> Json {
+    x.put()
+}
+
+/// A threshold that `f64::INFINITY` disables (the
+/// [`HealthConfig`](crate::HealthConfig) default for abstention): the
+/// JSON writer emits finite numbers only, so +∞ is written as `null`,
+/// and only a field read through this codec decodes `null`, as +∞.
+mod infinite_as_null {
+    use super::{Json, Wire, R};
+
+    pub(super) fn put(x: &f64) -> Json {
+        if *x == f64::INFINITY {
+            Json::Null
+        } else {
+            x.put()
+        }
+    }
+
+    pub(super) fn get(v: &Json, key: &str) -> R<f64> {
+        Ok(super::get::<Option<f64>>(v, key)?.unwrap_or(f64::INFINITY))
+    }
+}
+
 /// Implements [`Wire`] for a struct as a JSON object of the listed
-/// fields, in order, each under its own name or an `as` key. The
+/// fields, in order, each under its own name or an `as` key, and
+/// through its type's codec or a `via` module's `put` and `get`. The
 /// struct literal in `take` does not compile unless every field is
 /// listed; a trailing `check f` runs `f` over the decoded value.
 macro_rules! wire_record {
     (@key $field:ident) => { stringify!($field) };
     (@key $field:ident $key:literal) => { $key };
-    ($ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? } $(check $check:ident)?) => {
+    (
+        $ty:ident { $($field:ident $(as $key:literal)? $(via $via:ident)?),+ $(,)? }
+        $(check $check:ident)?
+    ) => {
         impl Wire for $ty {
             fn put(&self) -> Json {
-                Json::obj([$((wire_record!(@key $field $($key)?), self.$field.put())),+])
+                Json::obj([$((wire_record!(@key $field $($key)?), $($via::)?put(&self.$field))),+])
             }
 
             fn take(v: &Json, _: &str) -> R<Self> {
-                let state = $ty { $($field: get(v, wire_record!(@key $field $($key)?))?),+ };
+                let state =
+                    $ty { $($field: $($via::)?get(v, wire_record!(@key $field $($key)?))?),+ };
                 $($check(&state)?;)?
                 Ok(state)
             }
@@ -436,7 +466,14 @@ wire_record!(CrossbarState {
 wire_record!(MlcCrossbarState { eff, row_enabled, counter, margin_sum, margin_count });
 wire_record!(ArbiterState { bit_sources, bits_used });
 wire_record!(ModelState { blocks, baseline, extra });
-wire_record!(MonitorState { abstain_entropy, window, baseline, latched, pending, pending_count });
+wire_record!(MonitorState {
+    abstain_entropy via infinite_as_null,
+    window,
+    baseline,
+    latched,
+    pending,
+    pending_count,
+});
 wire_record!(RecoveryEvent {
     at_hours, step, action, policy, cells_refreshed, flagged, repaired, energy as "energy_j",
 });
@@ -1001,6 +1038,21 @@ mod tests {
         }
         assert_eq!(VERSION, 1);
         assert_eq!(got, WIRE_DIGESTS, "checkpoint bytes moved; now {got:#018x?}");
+    }
+
+    /// A die that was never commissioned still has abstention disabled
+    /// (+∞, which the JSON writer cannot emit as a number): its
+    /// checkpoint writes the threshold as `null` and restores it as +∞.
+    #[test]
+    fn uncommissioned_die_checkpoints_its_disabled_threshold() {
+        let case = Case { seed: 0x1DF, hidden: 12, defects: false, spares: 0, schedule: 0 };
+        let die = build_die(&case);
+        assert_eq!(die.abstain_threshold(), f64::INFINITY);
+        let text = die.checkpoint();
+        let mut twin = build_die(&case);
+        twin.restore_from_str(&text).expect("restore an uncommissioned checkpoint");
+        assert_eq!(twin.abstain_threshold(), f64::INFINITY);
+        assert_eq!(twin.checkpoint(), text, "the twin must re-export byte-equal");
     }
 
     /// `member` of the object `v`, for editing.

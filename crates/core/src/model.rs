@@ -13,7 +13,7 @@ use neuspin_bayes::{
 };
 use neuspin_cim::{
     fault_aware_remap, march_test, repair_columns, Arbiter, BistConfig, Crossbar, CrossbarConfig,
-    KernelPolicy, MlcCrossbar, OpCounter, ScaleDropModule, SpatialDropModule, SpinDropModule,
+    KernelPolicy, MlcCrossbar, OpCounter, SpinDropModule,
 };
 use neuspin_device::stats::LogNormal;
 use neuspin_device::{AgingConfig, AgingReport};
@@ -156,19 +156,20 @@ impl HardwareModel {
             }
         };
 
+        let module = |p: f32, rng: &mut StdRng| -> SpinDropModule {
+            let mut m = SpinDropModule::new(p as f64, corner, rng);
+            if config.module_tuning_bits > 0 {
+                m.tune(config.module_tuning_bits, 0.02, rng);
+            }
+            m
+        };
+
         let norm_block = |norm_idx: usize, p: f32, rng: &mut StdRng| -> HwBlock {
             let gamma = params.gammas[norm_idx].as_slice().to_vec();
             let beta = params.betas[norm_idx].as_slice().to_vec();
             if method == Method::AffineDropout {
                 let modules = if p > 0.0 {
-                    let mk = |rng: &mut StdRng| {
-                        let mut m = SpinDropModule::new(p as f64, corner, rng);
-                        if config.module_tuning_bits > 0 {
-                            m.tune(config.module_tuning_bits, 0.02, rng);
-                        }
-                        m
-                    };
-                    Some((mk(rng), mk(rng)))
+                    Some((module(p, rng), module(p, rng)))
                 } else {
                     None
                 };
@@ -198,28 +199,15 @@ impl HardwareModel {
             |features: usize, rng: &mut StdRng| -> Option<HwBlock> {
                 match method {
                     Method::SpinDrop => Some(HwBlock::Dropout(HwDropout::PerNeuron {
-                        modules: (0..features)
-                            .map(|_| {
-                                let mut m = SpinDropModule::new(arch.p as f64, corner, rng);
-                                if config.module_tuning_bits > 0 {
-                                    m.tune(config.module_tuning_bits, 0.02, rng);
-                                }
-                                m
-                            })
-                            .collect(),
+                        modules: (0..features).map(|_| module(arch.p, rng)).collect(),
                         p: arch.p,
                     })),
                     Method::SpatialSpinDrop => None, // built separately (needs channel count)
                     Method::SpinScaleDrop => {
                         let scale = params.scales[scale_idx].as_slice().to_vec();
                         scale_idx += 1;
-                        let mut module =
-                            ScaleDropModule::new(arch.p as f64, scale.len(), corner, rng);
-                        if config.module_tuning_bits > 0 {
-                            module.tune(config.module_tuning_bits, 0.02, rng);
-                        }
                         Some(HwBlock::Dropout(HwDropout::Scale {
-                            module,
+                            module: module(arch.p, rng),
                             scale,
                             local: OpCounter::new(),
                         }))
@@ -241,18 +229,11 @@ impl HardwareModel {
                 }
             };
 
-        let spatial_block = |channels: usize, rows_gated: usize, rng: &mut StdRng| -> HwBlock {
+        // Spatial-SpinDrop: one module per feature map, whose decision
+        // gates the map's whole row group through the decoder.
+        let spatial_block = |channels: usize, rng: &mut StdRng| -> HwBlock {
             HwBlock::Dropout(HwDropout::PerChannel {
-                modules: (0..channels)
-                    .map(|_| {
-                        let mut m =
-                            SpatialDropModule::new(arch.p as f64, rows_gated, corner, rng);
-                        if config.module_tuning_bits > 0 {
-                            m.tune(config.module_tuning_bits, 0.02, rng);
-                        }
-                        m
-                    })
-                    .collect(),
+                modules: (0..channels).map(|_| module(arch.p, rng)).collect(),
                 p: arch.p,
             })
         };
@@ -263,7 +244,7 @@ impl HardwareModel {
         blocks.push(HwBlock::HardTanh);
         let act1 = arch.c1 * arch.side * arch.side;
         if method == Method::SpatialSpinDrop {
-            blocks.push(spatial_block(arch.c1, 9, rng));
+            blocks.push(spatial_block(arch.c1, rng));
         } else if let Some(b) = dropout_block(act1, rng) {
             blocks.push(b);
         }
@@ -275,7 +256,7 @@ impl HardwareModel {
         blocks.push(HwBlock::HardTanh);
         let act2 = arch.c2 * (arch.side / 2) * (arch.side / 2);
         if method == Method::SpatialSpinDrop {
-            blocks.push(spatial_block(arch.c2, 9, rng));
+            blocks.push(spatial_block(arch.c2, rng));
         } else if let Some(b) = dropout_block(act2, rng) {
             blocks.push(b);
         }
@@ -352,7 +333,7 @@ impl HardwareModel {
         blocks.push(norm_block(2, arch.p, rng));
         blocks.push(HwBlock::HardTanh);
         if method == Method::SpatialSpinDrop {
-            blocks.push(spatial_block(arch.hidden, 1, rng));
+            blocks.push(spatial_block(arch.hidden, rng));
         } else if let Some(b) = dropout_block(arch.hidden, rng) {
             blocks.push(b);
         }

@@ -1101,6 +1101,10 @@ mod tests {
 
     const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
+    // The HTTP tests below hold `telemetry::test_lock()` for their whole
+    // run: every answered request records into the global stage
+    // histograms, which `trace::tests` counts exactly under that lock.
+
     fn two_die_fleet(seed: u64) -> DieFleet {
         DieFleet::new(vec![
             small_commissioned_supervisor(seed),
@@ -1114,6 +1118,7 @@ mod tests {
 
     #[test]
     fn stats_conservation_holds_across_mixed_traffic() {
+        let _guard = crate::telemetry::test_lock();
         let mut handle = serve(two_die_fleet(70), ServeConfig::default()).unwrap();
         let addr = handle.addr();
         for i in 0..6 {
@@ -1176,6 +1181,7 @@ mod tests {
 
     #[test]
     fn chaos_timing_faults_leave_answers_bit_identical() {
+        let _guard = crate::telemetry::test_lock();
         let quiet = ChaosConfig::default();
         let noisy = ChaosConfig {
             seed: 0xC405,
@@ -1202,6 +1208,7 @@ mod tests {
 
     #[test]
     fn injected_worker_panics_never_drop_responses() {
+        let _guard = crate::telemetry::test_lock();
         let chaos = ChaosConfig {
             seed: 0x9A71C,
             worker_panic_per_mille: 1000, // every connection job panics
@@ -1225,6 +1232,7 @@ mod tests {
 
     #[test]
     fn healthz_reports_down_dies() {
+        let _guard = crate::telemetry::test_lock();
         let mut handle = serve(two_die_fleet(95), ServeConfig::default()).unwrap();
         handle.fleet().crash(1);
         let resp =

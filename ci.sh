@@ -35,14 +35,16 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-# The crossbar kernels are compiled once per instruction level
-# (baseline, AVX2, AVX-512F), and the wide instantiations are
-# vectorised only in an optimising build: outside exp_throughput's own
-# asserts nothing else checks their bits. Re-run the crossbar tests
-# (per-level oracle battery included) and the model-level golden
-# battery in release.
+# The crossbar kernels and the nn matrix kernel are compiled once per
+# instruction level (baseline, AVX2, AVX-512F), and the wide
+# instantiations are vectorised only in an optimising build: outside
+# exp_throughput's own asserts nothing else checks their bits. Re-run
+# the crossbar and nn tests (per-level oracle batteries included) and
+# the golden batteries (model level and trained weights) in release.
 echo "==> cargo test --release -q --offline -p neuspin-cim"
 cargo test --release -q --offline -p neuspin-cim
+echo "==> cargo test --release -q --offline -p neuspin-nn"
+cargo test --release -q --offline -p neuspin-nn
 echo "==> cargo test --release -q --offline -p neuspin-core golden"
 cargo test --release -q --offline -p neuspin-core golden
 

@@ -49,6 +49,8 @@ pub mod extract;
 pub mod flight;
 #[cfg(test)]
 mod golden_tests;
+#[cfg(test)]
+mod golden_training_tests;
 pub mod health;
 pub mod json;
 pub mod model;

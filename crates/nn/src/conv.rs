@@ -5,6 +5,7 @@
 //! Fig. 1 unrolls each `K×K×C_in` kernel into one crossbar column), so
 //! the same code path documents both the software and the hardware view.
 
+use crate::gemm::{gemm, Lhs, Rhs};
 use crate::init::kaiming_uniform;
 use crate::layer::{Layer, Mode, Param};
 use crate::tensor::Tensor;
@@ -52,40 +53,45 @@ pub fn im2col(input: &Tensor, geo: &ConvGeometry) -> Tensor {
     col
 }
 
-/// [`im2col`] into a caller-provided patch matrix: `col` is resized and
-/// re-zeroed in place (the zero fill is load-bearing — padding
-/// positions are never written), so repeated calls at one input shape
-/// are allocation-free and bit-identical to `im2col`.
+/// The kernel taps `lo..hi` of a window starting at `origin` that land
+/// inside an axis of length `len` (an empty range when none do).
+fn taps(origin: isize, k: usize, len: usize) -> (usize, usize) {
+    let lo = (-origin).clamp(0, k as isize) as usize;
+    let hi = (len as isize - origin).clamp(lo as isize, k as isize) as usize;
+    (lo, hi)
+}
+
+/// [`im2col`] into a caller-provided patch matrix: `col` is resized in
+/// place and every element written (padding positions read `0.0`), so
+/// repeated calls at one input shape are allocation-free and
+/// bit-identical to `im2col`.
 pub fn im2col_into(input: &Tensor, geo: &ConvGeometry, col: &mut Tensor) {
     let (n, c, h, w) = shape4(input);
     assert_eq!(c, geo.in_channels, "channel mismatch");
     let (oh, ow) = (geo.out_size(h), geo.out_size(w));
-    let (k, s, p) = (geo.kernel, geo.stride, geo.padding);
+    let (k, s, p) = (geo.kernel, geo.stride, geo.padding as isize);
     let patch = geo.patch_len();
     col.resize_to(&[n * oh * ow, patch]);
-    col.as_mut_slice().fill(0.0);
-    let data = input.as_slice();
-    let out = col.as_mut_slice();
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * patch;
-                for ci in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * s + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * s + kx) as isize - p as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let src = ((ni * c + ci) * h + iy as usize) * w + ix as usize;
-                            let dst = row + (ci * k + ky) * k + kx;
-                            out[dst] = data[src];
-                        }
+    if col.is_empty() {
+        return;
+    }
+    for (x, rows) in input.as_slice().chunks_exact(c * h * w).zip(col.as_mut_slice().chunks_exact_mut(oh * ow * patch)) {
+        for (pos, row) in rows.chunks_exact_mut(patch).enumerate() {
+            let (y0, x0) = (((pos / ow) * s) as isize - p, ((pos % ow) * s) as isize - p);
+            let ((ky_lo, ky_hi), (kx_lo, kx_hi)) = (taps(y0, k, h), taps(x0, k, w));
+            for (plane, taps_c) in x.chunks_exact(h * w).zip(row.chunks_exact_mut(k * k)) {
+                for (ky, dst) in taps_c.chunks_exact_mut(k).enumerate() {
+                    if ky < ky_lo || ky >= ky_hi || kx_lo == kx_hi {
+                        dst.fill(0.0);
+                        continue;
                     }
+                    let src = &plane[(y0 + ky as isize) as usize * w..][..w];
+                    let src = &src[(x0 + kx_lo as isize) as usize..][..kx_hi - kx_lo];
+                    dst[..kx_lo].fill(0.0);
+                    for (d, &v) in dst[kx_lo..kx_hi].iter_mut().zip(src) {
+                        *d = v;
+                    }
+                    dst[kx_hi..].fill(0.0);
                 }
             }
         }
@@ -95,80 +101,46 @@ pub fn im2col_into(input: &Tensor, geo: &ConvGeometry, col: &mut Tensor) {
 /// Adjoint of [`im2col`]: scatters patch-matrix gradients back to an
 /// NCHW gradient of shape `[n, c, h, w]`.
 pub fn col2im(grad_col: &Tensor, geo: &ConvGeometry, n: usize, h: usize, w: usize) -> Tensor {
-    let c = geo.in_channels;
     let (oh, ow) = (geo.out_size(h), geo.out_size(w));
-    let (k, s, p) = (geo.kernel, geo.stride, geo.padding);
     let patch = geo.patch_len();
     assert_eq!(grad_col.shape(), &[n * oh * ow, patch], "grad_col shape mismatch");
-    let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-    let src = grad_col.as_slice();
-    let dst = grad_in.as_mut_slice();
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * patch;
-                for ci in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * s + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * s + kx) as isize - p as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let d = ((ni * c + ci) * h + iy as usize) * w + ix as usize;
-                            dst[d] += src[row + (ci * k + ky) * k + kx];
-                        }
-                    }
-                }
-            }
+    let mut grad_in = Tensor::zeros(&[n, geo.in_channels, h, w]);
+    if !grad_in.is_empty() {
+        let plane = geo.in_channels * h * w;
+        for (src, dst) in grad_col.as_slice().chunks_exact(oh * ow * patch).zip(grad_in.as_mut_slice().chunks_exact_mut(plane)) {
+            col2im_sample(src, geo, h, w, dst);
         }
     }
     grad_in
 }
 
+/// [`col2im`] of one sample: adds the `[oh·ow, c·k·k]` patch gradients
+/// `src` into the `[c, h, w]` gradient `dst`. Every input element takes
+/// its contributions in ascending output position, as the seed loop.
+fn col2im_sample(src: &[f32], geo: &ConvGeometry, h: usize, w: usize, dst: &mut [f32]) {
+    let ow = geo.out_size(w);
+    let (k, s, p) = (geo.kernel, geo.stride, geo.padding as isize);
+    for (pos, row) in src.chunks_exact(geo.patch_len()).enumerate() {
+        let (y0, x0) = (((pos / ow) * s) as isize - p, ((pos % ow) * s) as isize - p);
+        let ((ky_lo, ky_hi), (kx_lo, kx_hi)) = (taps(y0, k, h), taps(x0, k, w));
+        if kx_lo == kx_hi {
+            continue;
+        }
+        for (plane, taps_c) in dst.chunks_exact_mut(h * w).zip(row.chunks_exact(k * k)) {
+            for ky in ky_lo..ky_hi {
+                let d = &mut plane[(y0 + ky as isize) as usize * w..][..w];
+                let d = &mut d[(x0 + kx_lo as isize) as usize..][..kx_hi - kx_lo];
+                for (d, &v) in d.iter_mut().zip(&taps_c[ky * k + kx_lo..ky * k + kx_hi]) {
+                    *d += v;
+                }
+            }
+        }
+    }
+}
+
 fn shape4(t: &Tensor) -> (usize, usize, usize, usize) {
     assert_eq!(t.ndim(), 4, "expected NCHW tensor, got {:?}", t.shape());
     (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
-}
-
-/// Rearranges a `[n·oh·ow, cout]` matrix to NCHW `[n, cout, oh, ow]`.
-fn mat_to_nchw(mat: &Tensor, n: usize, cout: usize, oh: usize, ow: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[n, cout, oh, ow]);
-    let src = mat.as_slice();
-    let dst = out.as_mut_slice();
-    for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = ((ni * oh + oy) * ow + ox) * cout;
-                for co in 0..cout {
-                    dst[((ni * cout + co) * oh + oy) * ow + ox] = src[row + co];
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Rearranges NCHW `[n, cout, oh, ow]` to a `[n·oh·ow, cout]` matrix.
-fn nchw_to_mat(t: &Tensor) -> Tensor {
-    let (n, cout, oh, ow) = shape4(t);
-    let mut out = Tensor::zeros(&[n * oh * ow, cout]);
-    let src = t.as_slice();
-    let dst = out.as_mut_slice();
-    for ni in 0..n {
-        for co in 0..cout {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    dst[((ni * oh + oy) * ow + ox) * cout + co] =
-                        src[((ni * cout + co) * oh + oy) * ow + ox];
-                }
-            }
-        }
-    }
-    out
 }
 
 /// A real-valued 2-D convolution.
@@ -190,8 +162,16 @@ pub struct Conv2d {
     geo: ConvGeometry,
     weight: Param,
     bias: Param,
+    /// The last forward input's patch matrix (its buffer is reused).
     col: Option<Tensor>,
     in_hw: (usize, usize, usize),
+    /// The forward kernel matrix transposed to `[c·k·k, cout]`.
+    weight_t: Tensor,
+    /// One sample's `[oh·ow, cout]` product or `[oh·ow, c·k·k]` patch
+    /// gradient.
+    block: Vec<f32>,
+    /// The kernel gradient of the last backward pass.
+    grad_w: Tensor,
 }
 
 impl Conv2d {
@@ -218,6 +198,9 @@ impl Conv2d {
             geo,
             col: None,
             in_hw: (0, 0, 0),
+            weight_t: Tensor::default(),
+            block: Vec::new(),
+            grad_w: Tensor::default(),
         }
     }
 
@@ -231,51 +214,85 @@ impl Conv2d {
         &self.weight.value
     }
 
-    fn forward_with(&mut self, input: &Tensor, weight: &Tensor) -> Tensor {
+    /// Convolves `input` with the kernel matrix held transposed in
+    /// `weight_t`: per sample, the patch rows times `weight_t`, written
+    /// into the NCHW output with the bias added after each sum.
+    fn forward_transposed(&mut self, input: &Tensor) -> Tensor {
         let (n, _c, h, w) = shape4(input);
         self.in_hw = (n, h, w);
-        let col = im2col(input, &self.geo);
-        let mut mat = col.matmul(&weight.transpose());
-        let cout = self.geo.out_channels;
-        let rows = mat.shape()[0];
-        for r in 0..rows {
-            for co in 0..cout {
-                mat[r * cout + co] += self.bias.value[co];
+        let (oh, ow) = (self.geo.out_size(h), self.geo.out_size(w));
+        let (ohw, cout, patch) = (oh * ow, self.geo.out_channels, self.geo.patch_len());
+        let mut col = self.col.take().unwrap_or_default();
+        im2col_into(input, &self.geo, &mut col);
+        let mut out = Tensor::zeros(&[n, cout, oh, ow]);
+        let rhs = Rhs::new(self.weight_t.as_slice(), cout);
+        let bias = self.bias.value.as_slice();
+        self.block.resize(ohw * cout, 0.0);
+        for (col_n, out_n) in col.as_slice().chunks_exact(ohw * patch).zip(out.as_mut_slice().chunks_exact_mut(cout * ohw)) {
+            self.block.fill(0.0);
+            gemm(Lhs::Rows { data: col_n, ld: patch }, ohw, patch, &rhs, &mut self.block);
+            for (co, (plane, &b)) in out_n.chunks_exact_mut(ohw).zip(bias).enumerate() {
+                for (o, sums) in plane.iter_mut().zip(self.block.chunks_exact(cout)) {
+                    *o = sums[co] + b;
+                }
             }
         }
         self.col = Some(col);
-        mat_to_nchw(&mat, n, cout, self.geo.out_size(h), self.geo.out_size(w))
+        out
     }
 
-    fn backward_with(&mut self, grad_out: &Tensor, weight_for_input: &Tensor) -> (Tensor, Tensor) {
+    /// ∂L/∂input for the forward kernel matrix `weight` (`None`: the
+    /// layer's own), adding the bias gradient and leaving the kernel
+    /// gradient in `grad_w`. Sums run over samples, then positions,
+    /// the seed's row order.
+    fn backward_with(&mut self, grad_out: &Tensor, weight: Option<&Tensor>) -> Tensor {
         let col = self.col.as_ref().expect("backward before forward");
-        let g_mat = nchw_to_mat(grad_out);
-        let grad_w = g_mat.transpose().matmul(col);
-        let cout = self.geo.out_channels;
-        let rows = g_mat.shape()[0];
-        for co in 0..cout {
-            let mut s = 0.0;
-            for r in 0..rows {
-                s += g_mat[r * cout + co];
-            }
-            self.bias.grad[co] += s;
-        }
-        let grad_col = g_mat.matmul(weight_for_input);
+        let weight = weight.unwrap_or(&self.weight.value);
         let (n, h, w) = self.in_hw;
-        (grad_w, col2im(&grad_col, &self.geo, n, h, w))
+        let (oh, ow) = (self.geo.out_size(h), self.geo.out_size(w));
+        let (ohw, cout, patch) = (oh * ow, self.geo.out_channels, self.geo.patch_len());
+        let c = self.geo.in_channels;
+        assert_eq!(grad_out.shape(), &[n, cout, oh, ow], "grad_out shape mismatch");
+        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        self.grad_w.resize_to(&[cout, patch]);
+        self.grad_w.as_mut_slice().fill(0.0);
+        if n == 0 {
+            return grad_in;
+        }
+        let g = grad_out.as_slice();
+        for (co, bias_grad) in self.bias.grad.as_mut_slice().iter_mut().enumerate() {
+            let mut s = 0.0;
+            for g_n in g.chunks_exact(cout * ohw) {
+                for &v in &g_n[co * ohw..][..ohw] {
+                    s += v;
+                }
+            }
+            *bias_grad += s;
+        }
+        let rhs = Rhs::new(weight.as_slice(), patch);
+        self.block.resize(ohw * patch, 0.0);
+        let samples = g.chunks_exact(cout * ohw).zip(col.as_slice().chunks_exact(ohw * patch));
+        for ((g_n, col_n), dst) in samples.zip(grad_in.as_mut_slice().chunks_exact_mut(c * h * w)) {
+            // The kernel gradient gᵀ·col, one sample's rows at a time.
+            gemm(Lhs::Rows { data: g_n, ld: ohw }, cout, ohw, &Rhs::new(col_n, patch), self.grad_w.as_mut_slice());
+            // The patch gradient g·W, scattered back to the input.
+            self.block.fill(0.0);
+            gemm(Lhs::Cols { data: g_n, ld: ohw }, ohw, cout, &rhs, &mut self.block);
+            col2im_sample(&self.block, &self.geo, h, w, dst);
+        }
+        grad_in
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _mode: Mode, _rng: &mut StdRng) -> Tensor {
-        let w = self.weight.value.clone();
-        self.forward_with(input, &w)
+        self.weight.value.transpose_into(&mut self.weight_t);
+        self.forward_transposed(input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let w = self.weight.value.clone();
-        let (grad_w, grad_in) = self.backward_with(grad_out, &w);
-        self.weight.grad.axpy(1.0, &grad_w);
+        let grad_in = self.backward_with(grad_out, None);
+        self.weight.grad.axpy(1.0, &self.grad_w);
         grad_in
     }
 
@@ -338,44 +355,23 @@ impl BinaryConv2d {
 
     /// Per-output-channel binarization scales.
     pub fn scales(&self) -> Vec<f32> {
-        let (o, i) = (self.inner.geo.out_channels, self.inner.geo.patch_len());
-        (0..o)
-            .map(|r| {
-                let row = &self.inner.weight.value.as_slice()[r * i..(r + 1) * i];
-                row.iter().map(|w| w.abs()).sum::<f32>() / i as f32
-            })
-            .collect()
+        row_scales(&self.inner.weight.value)
     }
 }
 
 impl Layer for BinaryConv2d {
     fn forward(&mut self, input: &Tensor, _mode: Mode, _rng: &mut StdRng) -> Tensor {
         self.alphas = self.scales();
-        let (o, i) = (self.inner.geo.out_channels, self.inner.geo.patch_len());
-        let mut wb = self.sign_weights();
-        for r in 0..o {
-            for c in 0..i {
-                wb[r * i + c] *= self.alphas[r];
-            }
-        }
-        let out = self.inner.forward_with(input, &wb);
+        let mut wb = self.binarized.take().unwrap_or_default();
+        binarize_into(&self.inner.weight.value, &self.alphas, &mut wb, &mut self.inner.weight_t);
         self.binarized = Some(wb);
-        out
+        self.inner.forward_transposed(input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let wb = self.binarized.clone().expect("backward before forward");
-        let (grad_wb, grad_in) = self.inner.backward_with(grad_out, &wb);
-        let (o, i) = (self.inner.geo.out_channels, self.inner.geo.patch_len());
-        for r in 0..o {
-            let a = self.alphas[r];
-            for c in 0..i {
-                let w = self.inner.weight.value[r * i + c];
-                if w.abs() <= 1.0 {
-                    self.inner.weight.grad[r * i + c] += grad_wb[r * i + c] * a;
-                }
-            }
-        }
+        let wb = self.binarized.as_ref().expect("backward before forward");
+        let grad_in = self.inner.backward_with(grad_out, Some(wb));
+        ste_accumulate(&mut self.inner.weight, &self.inner.grad_w, &self.alphas);
         grad_in
     }
 
@@ -385,6 +381,42 @@ impl Layer for BinaryConv2d {
 
     fn name(&self) -> &'static str {
         "BinaryConv2d"
+    }
+}
+
+/// Per-row binarization scales `α_r = mean |w_r|` of a `[rows, cols]`
+/// weight matrix.
+pub(crate) fn row_scales(weight: &Tensor) -> Vec<f32> {
+    let cols = weight.shape()[1];
+    weight.as_slice().chunks_exact(cols).map(|row| row.iter().map(|w| w.abs()).sum::<f32>() / cols as f32).collect()
+}
+
+/// `wb = α_r · sign(w)` of a `[rows, cols]` latent weight matrix in
+/// one pass, then its `[cols, rows]` transpose into `wb_t`.
+pub(crate) fn binarize_into(weight: &Tensor, alphas: &[f32], wb: &mut Tensor, wb_t: &mut Tensor) {
+    let cols = weight.shape()[1];
+    wb.resize_to(weight.shape());
+    let rows = weight.as_slice().chunks_exact(cols).zip(wb.as_mut_slice().chunks_exact_mut(cols));
+    for ((src, dst), &a) in rows.zip(alphas) {
+        for (d, &w) in dst.iter_mut().zip(src) {
+            let sign = if w >= 0.0 { 1.0 } else { -1.0 };
+            *d = sign * a;
+        }
+    }
+    wb.transpose_into(wb_t);
+}
+
+/// The straight-through estimator with clipping: `∂L/∂w ≈ ∂L/∂w_b ·
+/// α_r · 1{|w| ≤ 1}`, added into the latent weight's gradient.
+pub(crate) fn ste_accumulate(weight: &mut Param, grad_wb: &Tensor, alphas: &[f32]) {
+    let cols = weight.value.shape()[1];
+    let rows = weight.value.as_slice().chunks_exact(cols).zip(weight.grad.as_mut_slice().chunks_exact_mut(cols));
+    for (((w_row, g_row), gb_row), &a) in rows.zip(grad_wb.as_slice().chunks_exact(cols)).zip(alphas) {
+        for ((&w, g), &gb) in w_row.iter().zip(g_row).zip(gb_row) {
+            if w.abs() <= 1.0 {
+                *g += gb * a;
+            }
+        }
     }
 }
 
@@ -433,6 +465,57 @@ mod tests {
         im2col_into(&x, &geo, &mut col);
         assert_eq!(col, expect);
         assert_eq!(col.as_slice().len(), cap);
+    }
+
+    /// The seed's im2col and col2im loops, kept as the oracle: every
+    /// (position, channel, tap) in order, out-of-image taps skipped.
+    fn seed_im2col_col2im(x: &Tensor, g: &Tensor, geo: &ConvGeometry) -> (Vec<f32>, Vec<f32>) {
+        let (n, c, h, w) = shape4(x);
+        let (oh, ow) = (geo.out_size(h), geo.out_size(w));
+        let (k, s, p) = (geo.kernel, geo.stride, geo.padding as isize);
+        let patch = geo.patch_len();
+        let mut col = vec![0.0f32; n * oh * ow * patch];
+        let mut back = vec![0.0f32; x.len()];
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((ni * oh + oy) * ow + ox) * patch;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            let iy = (oy * s + ky) as isize - p;
+                            for kx in 0..k {
+                                let ix = (ox * s + kx) as isize - p;
+                                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let src = ((ni * c + ci) * h + iy as usize) * w + ix as usize;
+                                let dst = row + (ci * k + ky) * k + kx;
+                                col[dst] = x[src];
+                                back[src] += g[dst];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (col, back)
+    }
+
+    #[test]
+    fn im2col_and_col2im_match_seed_loops_bit_for_bit() {
+        // Strides 1–2 and paddings up to past the kernel, where whole
+        // windows fall outside the image; col2im sums in the seed's order.
+        for (kernel, stride, padding) in [(1, 1, 0), (3, 1, 1), (3, 2, 1), (2, 2, 0), (3, 1, 4), (1, 2, 2)] {
+            let geo = ConvGeometry { in_channels: 2, out_channels: 1, kernel, stride, padding };
+            let x = Tensor::from_fn(&[2, 2, 5, 4], |i| (i as f32 * 0.37).sin());
+            let col = im2col(&x, &geo);
+            let g = Tensor::from_fn(col.shape(), |i| (i as f32 * 0.61).cos() * 1e3);
+            let (want_col, want_back) = seed_im2col_col2im(&x, &g, &geo);
+            let label = format!("k {kernel} s {stride} p {padding}");
+            assert!(col.as_slice().iter().zip(&want_col).all(|(a, b)| a.to_bits() == b.to_bits()), "{label}: im2col");
+            let back = col2im(&g, &geo, 2, 5, 4);
+            assert!(back.as_slice().iter().zip(&want_back).all(|(a, b)| a.to_bits() == b.to_bits()), "{label}: col2im");
+        }
     }
 
     #[test]

@@ -74,16 +74,20 @@ impl Layer for Dropout {
             return input.clone();
         }
         let keep = 1.0 - self.p;
-        let mask = Tensor::from_fn(input.shape(), |_| {
-            if rng.random::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        });
-        let out = input * &mask;
+        let mut mask = self.mask.take().unwrap_or_default();
+        mask.resize_to(input.shape());
+        // One pass: draw, record the mask, scale the input.
+        let out: Vec<f32> = input
+            .as_slice()
+            .iter()
+            .zip(mask.as_mut_slice())
+            .map(|(&x, m)| {
+                *m = if rng.random::<f32>() < keep { 1.0 / keep } else { 0.0 };
+                x * *m
+            })
+            .collect();
         self.mask = Some(mask);
-        out
+        Tensor::from_vec(out, input.shape())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -36,6 +36,7 @@
 pub mod act;
 pub mod conv;
 pub mod dropout;
+mod gemm;
 pub mod init;
 pub mod layer;
 pub mod linear;

@@ -1,6 +1,8 @@
 //! Fully-connected layers: real-valued, binary (XNOR-style), and
 //! DropConnect variants.
 
+use crate::conv::{binarize_into, row_scales, ste_accumulate};
+use crate::gemm::{gemm, Lhs, Rhs};
 use crate::init::kaiming_uniform;
 use crate::layer::{Layer, Mode, Param};
 use crate::tensor::Tensor;
@@ -26,6 +28,10 @@ pub struct Linear {
     weight: Param,
     bias: Param,
     input: Option<Tensor>,
+    /// The forward weight transposed to `[in, out]`.
+    weight_t: Tensor,
+    /// The weight gradient of the last backward pass.
+    grad_w: Tensor,
 }
 
 impl Linear {
@@ -40,6 +46,8 @@ impl Linear {
             weight: Param::new(kaiming_uniform(&[out_features, in_features], in_features, rng)),
             bias: Param::new(Tensor::zeros(&[out_features])),
             input: None,
+            weight_t: Tensor::default(),
+            grad_w: Tensor::default(),
         }
     }
 
@@ -62,47 +70,58 @@ impl Linear {
     pub fn bias(&self) -> &Tensor {
         &self.bias.value
     }
+}
 
-    fn affine(&self, input: &Tensor, weight: &Tensor) -> Tensor {
-        let mut out = input.matmul(&weight.transpose());
-        let (n, f) = (out.shape()[0], out.shape()[1]);
-        for i in 0..n {
-            for j in 0..f {
-                out[i * f + j] += self.bias.value[j];
-            }
-        }
-        out
-    }
+/// Keeps a copy of the forward input for backward, in the buffer of
+/// the last one.
+fn cache_input(slot: &mut Option<Tensor>, input: &Tensor) {
+    slot.get_or_insert_with(Tensor::default).copy_from(input);
+}
 
-    fn backward_with(&mut self, grad_out: &Tensor, weight_for_input: &Tensor) -> (Tensor, Tensor) {
-        let input = self.input.as_ref().expect("backward before forward");
-        // dW = gradᵀ · x ; db = Σ_batch grad ; dx = grad · W
-        let grad_w = grad_out.transpose().matmul(input);
-        let (n, f) = (grad_out.shape()[0], grad_out.shape()[1]);
-        for j in 0..f {
-            let mut s = 0.0;
-            for i in 0..n {
-                s += grad_out[i * f + j];
-            }
-            self.bias.grad[j] += s;
+/// `input · weight_t + bias` with `weight_t` the `[in, out]` transpose
+/// of the forward weight; the bias is added after each sum.
+fn affine(input: &Tensor, weight_t: &Tensor, bias: &Tensor) -> Tensor {
+    let mut out = input.matmul(weight_t);
+    for row in out.as_mut_slice().chunks_exact_mut(bias.len()) {
+        for (o, &b) in row.iter_mut().zip(bias.as_slice()) {
+            *o += b;
         }
-        let grad_in = grad_out.matmul(weight_for_input);
-        (grad_w, grad_in)
     }
+    out
+}
+
+/// The backward pass of `y = x · Wᵀ + b` for forward weight `weight`
+/// (`[out, in]`): `dW = gradᵀ · x` into `grad_w`, `db += Σ_batch grad`,
+/// and the returned `dx = grad · W`.
+fn affine_backward(grad_out: &Tensor, input: &Tensor, weight: &Tensor, grad_w: &mut Tensor, bias_grad: &mut Tensor) -> Tensor {
+    let (n, f) = (grad_out.shape()[0], grad_out.shape()[1]);
+    let i = input.shape()[1];
+    grad_w.resize_to(&[f, i]);
+    grad_w.as_mut_slice().fill(0.0);
+    gemm(Lhs::Cols { data: grad_out.as_slice(), ld: f }, f, n, &Rhs::new(input.as_slice(), i), grad_w.as_mut_slice());
+    for (j, bg) in bias_grad.as_mut_slice().iter_mut().enumerate() {
+        let mut s = 0.0;
+        for row in grad_out.as_slice().chunks_exact(f) {
+            s += row[j];
+        }
+        *bg += s;
+    }
+    grad_out.matmul(weight)
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, _mode: Mode, _rng: &mut StdRng) -> Tensor {
         assert_eq!(input.ndim(), 2, "Linear expects [N, in], got {:?}", input.shape());
         assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
-        self.input = Some(input.clone());
-        self.affine(input, &self.weight.value)
+        cache_input(&mut self.input, input);
+        self.weight.value.transpose_into(&mut self.weight_t);
+        affine(input, &self.weight_t, &self.bias.value)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let w = self.weight.value.clone();
-        let (grad_w, grad_in) = self.backward_with(grad_out, &w);
-        self.weight.grad.axpy(1.0, &grad_w);
+        let input = self.input.as_ref().expect("backward before forward");
+        let grad_in = affine_backward(grad_out, input, &self.weight.value, &mut self.grad_w, &mut self.bias.grad);
+        self.weight.grad.axpy(1.0, &self.grad_w);
         grad_in
     }
 
@@ -132,6 +151,10 @@ pub struct BinaryLinear {
     input: Option<Tensor>,
     binarized: Option<Tensor>,
     alphas: Vec<f32>,
+    /// `binarized` transposed to `[in, out]`.
+    binarized_t: Tensor,
+    /// The gradient w.r.t. the binarized weights of the last backward.
+    grad_wb: Tensor,
 }
 
 impl BinaryLinear {
@@ -148,6 +171,8 @@ impl BinaryLinear {
             input: None,
             binarized: None,
             alphas: vec![0.0; out_features],
+            binarized_t: Tensor::default(),
+            grad_wb: Tensor::default(),
         }
     }
 
@@ -174,31 +199,12 @@ impl BinaryLinear {
 
     /// Per-output-row binarization scales α (mean |w|).
     pub fn scales(&self) -> Vec<f32> {
-        let (o, i) = (self.out_features(), self.in_features());
-        (0..o)
-            .map(|r| {
-                let row = &self.weight.value.as_slice()[r * i..(r + 1) * i];
-                row.iter().map(|w| w.abs()).sum::<f32>() / i as f32
-            })
-            .collect()
+        row_scales(&self.weight.value)
     }
 
     /// Borrows the bias vector.
     pub fn bias(&self) -> &Tensor {
         &self.bias.value
-    }
-
-    fn binarize(&mut self) -> Tensor {
-        let (o, i) = (self.out_features(), self.in_features());
-        self.alphas = self.scales();
-        let mut b = self.sign_weights();
-        for r in 0..o {
-            let a = self.alphas[r];
-            for c in 0..i {
-                b[r * i + c] *= a;
-            }
-        }
-        b
     }
 }
 
@@ -206,44 +212,19 @@ impl Layer for BinaryLinear {
     fn forward(&mut self, input: &Tensor, _mode: Mode, _rng: &mut StdRng) -> Tensor {
         assert_eq!(input.ndim(), 2, "BinaryLinear expects [N, in], got {:?}", input.shape());
         assert_eq!(input.shape()[1], self.in_features(), "feature mismatch");
-        self.input = Some(input.clone());
-        let wb = self.binarize();
-        let mut out = input.matmul(&wb.transpose());
-        let (n, f) = (out.shape()[0], out.shape()[1]);
-        for idx in 0..n {
-            for j in 0..f {
-                out[idx * f + j] += self.bias.value[j];
-            }
-        }
-        self.binarized = Some(wb);
-        out
+        cache_input(&mut self.input, input);
+        self.alphas = self.scales();
+        let wb = self.binarized.get_or_insert_with(Tensor::default);
+        binarize_into(&self.weight.value, &self.alphas, wb, &mut self.binarized_t);
+        affine(input, &self.binarized_t, &self.bias.value)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.input.as_ref().expect("backward before forward");
         let wb = self.binarized.as_ref().expect("backward before forward");
-        // Gradient w.r.t. the binarized weights.
-        let grad_wb = grad_out.transpose().matmul(input);
-        // STE with clipping: dL/dw ≈ dL/dw_b · α · 1{|w| ≤ 1}.
-        let (o, i) = (self.out_features(), self.in_features());
-        for r in 0..o {
-            let a = self.alphas[r];
-            for c in 0..i {
-                let w = self.weight.value[r * i + c];
-                if w.abs() <= 1.0 {
-                    self.weight.grad[r * i + c] += grad_wb[r * i + c] * a;
-                }
-            }
-        }
-        let (n, f) = (grad_out.shape()[0], grad_out.shape()[1]);
-        for j in 0..f {
-            let mut s = 0.0;
-            for idx in 0..n {
-                s += grad_out[idx * f + j];
-            }
-            self.bias.grad[j] += s;
-        }
-        grad_out.matmul(wb)
+        let grad_in = affine_backward(grad_out, input, wb, &mut self.grad_wb, &mut self.bias.grad);
+        ste_accumulate(&mut self.weight, &self.grad_wb, &self.alphas);
+        grad_in
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, &mut Param)) {
@@ -306,8 +287,9 @@ impl Layer for DropConnectLinear {
             }
         });
         let masked = &self.inner.weight.value * &mask;
-        self.inner.input = Some(input.clone());
-        let out = self.inner.affine(input, &masked);
+        cache_input(&mut self.inner.input, input);
+        masked.transpose_into(&mut self.inner.weight_t);
+        let out = affine(input, &self.inner.weight_t, &self.inner.bias.value);
         self.mask = Some(mask);
         out
     }
@@ -317,8 +299,10 @@ impl Layer for DropConnectLinear {
             None => self.inner.backward(grad_out),
             Some(mask) => {
                 let masked = &self.inner.weight.value * &mask;
-                let (grad_w, grad_in) = self.inner.backward_with(grad_out, &masked);
-                self.inner.weight.grad.axpy(1.0, &(&grad_w * &mask));
+                let inner = &mut self.inner;
+                let input = inner.input.as_ref().expect("backward before forward");
+                let grad_in = affine_backward(grad_out, input, &masked, &mut inner.grad_w, &mut inner.bias.grad);
+                inner.weight.grad.axpy(1.0, &(&inner.grad_w * &mask));
                 grad_in
             }
         }

@@ -98,52 +98,48 @@ impl Layer for BatchNorm {
         let n = input.shape()[0];
         let group = n * spatial; // elements normalized together per feature
         self.group = group;
-
-        let idx = |ni: usize, fi: usize, si: usize| (ni * f + fi) * spatial + si;
+        let x = input.as_slice();
+        // The elements of feature `fi`, sample-major then spatial.
+        let planes = |fi: usize| (0..n).flat_map(move |ni| &x[(ni * f + fi) * spatial..][..spatial]);
 
         let (mean, var): (Vec<f32>, Vec<f32>) = if mode.batch_stats() {
-            let mut mean = vec![0.0f32; f];
-            let mut var = vec![0.0f32; f];
-            for fi in 0..f {
-                let mut s = 0.0;
-                for ni in 0..n {
-                    for si in 0..spatial {
-                        s += input[idx(ni, fi, si)];
+            let batch: Vec<(f32, f32)> = (0..f)
+                .map(|fi| {
+                    let mut s = 0.0;
+                    for &v in planes(fi) {
+                        s += v;
                     }
-                }
-                mean[fi] = s / group as f32;
-                let mut v = 0.0;
-                for ni in 0..n {
-                    for si in 0..spatial {
-                        let d = input[idx(ni, fi, si)] - mean[fi];
-                        v += d * d;
+                    let mean = s / group as f32;
+                    let mut var = 0.0;
+                    for &v in planes(fi) {
+                        let d = v - mean;
+                        var += d * d;
                     }
-                }
-                var[fi] = v / group as f32;
-            }
+                    (mean, var / group as f32)
+                })
+                .collect();
             // Update running statistics.
-            for fi in 0..f {
-                self.running_mean[fi] =
-                    (1.0 - self.momentum) * self.running_mean[fi] + self.momentum * mean[fi];
-                self.running_var[fi] =
-                    (1.0 - self.momentum) * self.running_var[fi] + self.momentum * var[fi];
+            for (fi, &(mean, var)) in batch.iter().enumerate() {
+                self.running_mean[fi] = (1.0 - self.momentum) * self.running_mean[fi] + self.momentum * mean;
+                self.running_var[fi] = (1.0 - self.momentum) * self.running_var[fi] + self.momentum * var;
             }
-            (mean, var)
+            batch.into_iter().unzip()
         } else {
             (self.running_mean.clone(), self.running_var.clone())
         };
 
         self.inv_std = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-        let mut xhat = Tensor::zeros(input.shape());
+        let mut xhat = self.xhat.take().unwrap_or_default();
+        xhat.resize_to(input.shape());
         let mut out = Tensor::zeros(input.shape());
-        for ni in 0..n {
-            #[allow(clippy::needless_range_loop)] // fi indexes four arrays plus idx()
-            for fi in 0..f {
-                for si in 0..spatial {
-                    let i = idx(ni, fi, si);
-                    let h = (input[i] - mean[fi]) * self.inv_std[fi];
-                    xhat[i] = h;
-                    out[i] = self.gamma.value[fi] * h + self.beta.value[fi];
+        if spatial > 0 && f > 0 {
+            let params = mean.iter().zip(&self.inv_std).zip(self.gamma.value.as_slice().iter().zip(self.beta.value.as_slice()));
+            let planes = x.chunks_exact(spatial).zip(xhat.as_mut_slice().chunks_exact_mut(spatial)).zip(out.as_mut_slice().chunks_exact_mut(spatial));
+            for (((x, h), o), ((&mean, &inv), (&g, &b))) in planes.zip(params.cycle()) {
+                for ((&x, h), o) in x.iter().zip(h.iter_mut()).zip(o.iter_mut()) {
+                    let v = (x - mean) * inv;
+                    *h = v;
+                    *o = g * v + b;
                 }
             }
         }
@@ -156,28 +152,28 @@ impl Layer for BatchNorm {
         let (f, spatial) = self.layout(grad_out.shape());
         let n = grad_out.shape()[0];
         let m = self.group as f32;
-        let idx = |ni: usize, fi: usize, si: usize| (ni * f + fi) * spatial + si;
+        let (g_all, h_all) = (grad_out.as_slice(), xhat.as_slice());
+        let plane = |fi: usize, ni: usize| (ni * f + fi) * spatial..(ni * f + fi + 1) * spatial;
 
         let mut grad_in = Tensor::zeros(grad_out.shape());
         for fi in 0..f {
             let mut sum_g = 0.0f32;
             let mut sum_gh = 0.0f32;
             for ni in 0..n {
-                for si in 0..spatial {
-                    let i = idx(ni, fi, si);
-                    sum_g += grad_out[i];
-                    sum_gh += grad_out[i] * xhat[i];
+                for (&g, &h) in g_all[plane(fi, ni)].iter().zip(&h_all[plane(fi, ni)]) {
+                    sum_g += g;
+                    sum_gh += g * h;
                 }
             }
             self.beta.grad[fi] += sum_g;
             self.gamma.grad[fi] += sum_gh;
-            let g = self.gamma.value[fi];
-            let s = self.inv_std[fi];
+            let gs = self.gamma.value[fi] * self.inv_std[fi];
+            let mean_g = sum_g / m;
             for ni in 0..n {
-                for si in 0..spatial {
-                    let i = idx(ni, fi, si);
-                    grad_in[i] =
-                        g * s * (grad_out[i] - sum_g / m - xhat[i] * sum_gh / m);
+                let range = plane(fi, ni);
+                let dst = &mut grad_in.as_mut_slice()[range.clone()];
+                for ((d, &g), &h) in dst.iter_mut().zip(&g_all[range.clone()]).zip(&h_all[range]) {
+                    *d = gs * (g - mean_g - h * sum_gh / m);
                 }
             }
         }

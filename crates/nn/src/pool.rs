@@ -62,7 +62,9 @@ impl Layer for MaxPool2d {
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        // The window's first element, so a window nothing
+                        // beats (all −∞ or NaN) keeps its gradient here.
+                        let mut best_idx = ((ni * c + ci) * h + oy * k) * w + ox * k;
                         for ky in 0..k {
                             for kx in 0..k {
                                 let iy = oy * k + ky;
@@ -221,6 +223,20 @@ mod tests {
         assert_eq!(y.as_slice(), &[5.0]);
         let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1]));
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_routes_unbeaten_window_to_its_own_first_element() {
+        // The second sample is all −∞: no element beats the start value,
+        // so its gradient must stay in that window, not leak to sample 0.
+        let mut r = rng();
+        let mut pool = MaxPool2d::new(2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 5.0, 2.0, 3.0, ninf, ninf, ninf, ninf], &[2, 1, 2, 2]);
+        let y = pool.forward(&x, Mode::Eval, &mut r);
+        assert_eq!(y.as_slice(), &[5.0, ninf]);
+        let g = pool.backward(&Tensor::from_vec(vec![1.0, 7.0], &[2, 1, 1, 1]));
+        assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

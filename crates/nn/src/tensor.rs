@@ -6,6 +6,7 @@
 //! This module provides exactly that, with shape checks that panic early
 //! and loudly (shape errors are programming errors, not runtime inputs).
 
+use crate::gemm::{gemm, Lhs, Rhs};
 use std::fmt;
 use std::ops::{Add, Div, Index, IndexMut, Mul, Neg, Sub};
 
@@ -263,37 +264,22 @@ impl Tensor {
 
     /// 2-D matrix product: `[m, k] × [k, n] → [m, n]`.
     ///
+    /// Each output element sums its terms over `k` in ascending order
+    /// from `+0.0`, skipping terms whose left factor is zero — at any
+    /// instruction level the kernel runs at (see DESIGN.md §3).
+    ///
     /// # Panics
     ///
     /// Panics unless both tensors are 2-D with matching inner dimension.
     pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D, got {:?}", self.shape);
-        assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D, got {:?}", other.shape);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dims differ: {:?} × {:?}", self.shape, other.shape);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Self { shape: vec![m, n], data: out }
+        let mut out = Self::default();
+        self.matmul_into(other, &mut out);
+        out
     }
 
-    /// [`Self::matmul`] into a caller-provided output tensor — the same
-    /// float-op order (row-outer, zero-skipped inner accumulation), so
-    /// results are bit-identical to `matmul`; `out` is resized and
-    /// zeroed in place, with no allocation once its capacity covers
-    /// `m × n`.
+    /// [`Self::matmul`] into a caller-provided output tensor: `out` is
+    /// resized and zeroed in place, with no allocation once its
+    /// capacity covers `m × n`.
     ///
     /// # Panics
     ///
@@ -306,19 +292,7 @@ impl Tensor {
         assert_eq!(k, k2, "matmul inner dims differ: {:?} × {:?}", self.shape, other.shape);
         out.resize_to(&[m, n]);
         out.data.fill(0.0);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(Lhs::Rows { data: &self.data, ld: k }, m, k, &Rhs::new(&other.data, n), &mut out.data);
     }
 
     /// Transpose of a 2-D tensor.
@@ -327,15 +301,29 @@ impl Tensor {
     ///
     /// Panics unless the tensor is 2-D.
     pub fn transpose(&self) -> Self {
+        let mut out = Self::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] into `out`, resized in place; reads a band
+    /// of rows at a time so both sides stay in cache.
+    pub(crate) fn transpose_into(&self, out: &mut Self) {
         assert_eq!(self.ndim(), 2, "transpose needs a 2-D tensor, got {:?}", self.shape);
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+        out.resize_to(&[n, m]);
+        if m == 0 || n == 0 {
+            return;
+        }
+        const BAND: usize = 16;
+        for i0 in (0..m).step_by(BAND) {
+            let band = &self.data[i0 * n..(i0 + BAND).min(m) * n];
+            for (j, dst) in out.data.chunks_exact_mut(m).enumerate() {
+                for (d, row) in dst[i0..].iter_mut().zip(band.chunks_exact(n)) {
+                    *d = row[j];
+                }
             }
         }
-        Self { shape: vec![n, m], data: out }
     }
 
     /// Row `i` of a 2-D tensor as a slice.

@@ -39,12 +39,16 @@ cargo test -q --offline
 # instruction level (baseline, AVX2, AVX-512F), and the wide
 # instantiations are vectorised only in an optimising build: outside
 # exp_throughput's own asserts nothing else checks their bits. Re-run
-# the crossbar and nn tests (per-level oracle batteries included) and
-# the golden batteries (model level and trained weights) in release.
+# the crossbar and nn tests (per-level oracle batteries included), the
+# sampler tests (the ziggurat's inlined, branch-free fast path is pinned
+# by a digest of its draws) and the golden batteries (model level and
+# trained weights) in release.
 echo "==> cargo test --release -q --offline -p neuspin-cim"
 cargo test --release -q --offline -p neuspin-cim
 echo "==> cargo test --release -q --offline -p neuspin-nn"
 cargo test --release -q --offline -p neuspin-nn
+echo "==> cargo test --release -q --offline -p rand"
+cargo test --release -q --offline -p rand
 echo "==> cargo test --release -q --offline -p neuspin-core golden"
 cargo test --release -q --offline -p neuspin-core golden
 

@@ -124,7 +124,7 @@ mod wide {
         out: &mut [f64],
         rng: &mut StdRng,
     ) {
-        x.matmul_scalar_body::<16>(inputs, n, out, rng);
+        x.matmul_scalar_body::<16, 1>(inputs, n, out, rng);
     }
 
     #[target_feature(enable = "avx512f,popcnt")]
@@ -135,7 +135,7 @@ mod wide {
         out: &mut [f64],
         rng: &mut StdRng,
     ) {
-        x.matmul_scalar_body::<32>(inputs, n, out, rng);
+        x.matmul_scalar_body::<32, 2>(inputs, n, out, rng);
     }
 
     #[target_feature(enable = "avx2,popcnt")]
@@ -329,6 +329,14 @@ impl CrossbarConfig {
     }
 }
 
+/// Column values one block read-out senses: the row-major kernel
+/// accumulates `READOUT_BLOCK / cols` evaluations at a time (at least
+/// one strip group) and hands them to [`ColumnReadout::sense_block`]
+/// in one call. Its three scratch buffers (sums, Σ term², noise) then
+/// take about 12 KB per array; blocks of 256 to 2048 values time
+/// within noise of each other at the `mc_analog` shapes.
+const READOUT_BLOCK: usize = 512;
+
 /// The column read-out every production kernel of both array types
 /// ends in: cycle-to-cycle read noise, the sense amplifier (whose
 /// running |margin| window the health monitor watches), and the
@@ -361,46 +369,74 @@ impl ColumnReadout {
         ops.digital_ops += (n * cols) as u64;
     }
 
-    /// Senses one column from its accumulated value `acc` and Σ term²
-    /// `power` (read noise is drawn only when `power > 0`): tallies the
-    /// margin window and any ADC saturation, returns the digitised value.
-    #[inline]
-    fn sense(&mut self, mut acc: f64, power: f64, ops: &mut OpCounter, rng: &mut StdRng) -> f64 {
-        if self.read_noise > 0.0 && power > 0.0 {
-            acc += self.read_noise * power.sqrt() * stats::ziggurat_normal(rng);
+    /// Senses a block of columns, evaluation-major and then in physical
+    /// column order: `acc` holds each column's sum and comes back
+    /// digitised, `power` holds its Σ term², and `noise` is scratch of
+    /// the same length. Each step is the seed kernel's per-column
+    /// sequence, split into passes over the block:
+    ///
+    /// * one ziggurat draw per column with `power > 0`, in order (the
+    ///   only branching pass);
+    /// * `acc + (read_noise · √power) · z`, selected only where
+    ///   `power > 0`, so a column with zero or NaN power keeps its bits;
+    /// * the margin window, summed serially in order;
+    /// * the saturation tally on the noisy value and `Adc::quantize`,
+    ///   branch-free, so both vectorise.
+    ///
+    /// Always inlined, so every kernel level compiles these passes at
+    /// its own vector width.
+    #[inline(always)]
+    fn sense_block(
+        &mut self,
+        acc: &mut [f64],
+        power: &[f64],
+        noise: &mut [f64],
+        ops: &mut OpCounter,
+        rng: &mut StdRng,
+    ) {
+        if self.read_noise > 0.0 {
+            for (z, &pw) in noise.iter_mut().zip(power) {
+                if pw > 0.0 {
+                    *z = stats::ziggurat_normal(rng);
+                }
+            }
+            let read_noise = self.read_noise;
+            for ((a, &pw), &z) in acc.iter_mut().zip(power).zip(&*noise) {
+                let noisy = *a + read_noise * pw.sqrt() * z;
+                *a = if pw > 0.0 { noisy } else { *a };
+            }
         }
-        match self.observe(acc, ops) {
-            Some(adc) => adc.quantize(acc),
-            None => acc,
+        for &a in &*acc {
+            self.margin_sum += a.abs();
+        }
+        self.margin_count += acc.len() as u64;
+        if let Some(adc) = &self.adc {
+            let mut saturations = 0u64;
+            for a in acc.iter_mut() {
+                saturations += u64::from(a.abs() > adc.full_scale());
+                *a = adc.quantize(*a);
+            }
+            ops.adc_saturations += saturations;
         }
     }
 
-    /// Senses a noiseless column whose accumulation is the exact
-    /// integer `sum` (a packed column): the same margin window and
-    /// saturation tally as [`ColumnReadout::sense`], with the ADC code
-    /// read from `codes`, where `codes[codes.len() / 2 + sum]` holds
-    /// this read-out's `Adc::quantize(sum)` (see `PackedPlane::build`).
+    /// Senses a noiseless packed column whose accumulation is the exact
+    /// integer `sum`: the margin window and saturation tally of
+    /// [`ColumnReadout::sense_block`], with the ADC code read from
+    /// `codes`, where `codes[codes.len() / 2 + sum]` holds this
+    /// read-out's `Adc::quantize(sum)` (see `PackedPlane::build`).
     #[inline]
     fn sense_exact(&mut self, sum: i64, codes: &[f64], ops: &mut OpCounter) -> f64 {
         let acc = sum as f64;
-        match self.observe(acc, ops) {
-            Some(_) => codes[(codes.len() / 2).wrapping_add_signed(sum as isize)],
-            None => acc,
-        }
-    }
-
-    /// The sense-amplifier stage every column passes: advances the
-    /// margin window, tallies an ADC saturation, and hands back the ADC
-    /// (if any) to digitise `acc`.
-    #[inline]
-    fn observe(&mut self, acc: f64, ops: &mut OpCounter) -> Option<&Adc> {
         self.margin_sum += acc.abs();
         self.margin_count += 1;
-        let adc = self.adc.as_ref()?;
-        if acc.abs() > adc.full_scale() {
-            ops.adc_saturations += 1;
+        match &self.adc {
+            Some(adc) => {
+                ops.adc_saturations += u64::from(acc.abs() > adc.full_scale());
+                codes[(codes.len() / 2).wrapping_add_signed(sum as isize)]
+            }
+            None => acc,
         }
-        Some(adc)
     }
 
     fn mean_margin(&self) -> f64 {
@@ -474,8 +510,11 @@ pub struct Crossbar {
     /// means identity. See [`Crossbar::apply_remap`].
     row_src: Option<Vec<usize>>,
     col_src: Option<Vec<usize>>,
-    /// Column accumulator scratch (`[acc | power]`), reused across
-    /// evaluations to keep the kernel allocation-free.
+    /// Row-major kernel scratch: one block's column sums, Σ term² and
+    /// noise draws (`[acc | power | noise]`, each at most
+    /// `READOUT_BLOCK` values, or one strip group's columns where that
+    /// is more, plus a cache-line pad), reused across calls to keep
+    /// the kernel allocation-free.
     scratch: Vec<f64>,
     /// Resolved `(physical, logical)` enabled-row pairs, reused by the
     /// batch kernel so steady-state `matmul` calls allocate nothing.
@@ -952,7 +991,7 @@ impl Crossbar {
     ) {
         for (input, chunk) in inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(self.cols)) {
             if !self.matvec_packed(plane, input, chunk, rng) {
-                self.matmul_scalar_body::<W>(input, 1, chunk, rng);
+                self.matmul_scalar_body::<W, 1>(input, 1, chunk, rng);
             }
         }
     }
@@ -961,11 +1000,12 @@ impl Crossbar {
     /// input through remap + gating, popcount the packable columns, walk
     /// the few non-ternary columns in reference row order, and sense
     /// each column in ascending physical order through the shared
-    /// read-out with Σ term² = 0, so `rng` is never drawn from (the
-    /// tile is noiseless; the scalar kernel draws nothing there either).
-    /// A packed column's ADC code comes from the plane's quantise
-    /// table. Returns `false` without any side effect (no tallies, no
-    /// margin, no output) when the input is not ternary.
+    /// read-out. A packed column's ADC code comes from the plane's
+    /// quantise table; a non-ternary column is a one-column block with
+    /// Σ term² = 0, so `rng` is never drawn from (the tile is
+    /// noiseless; the scalar kernel draws nothing there either).
+    /// Returns `false` without any side effect (no tallies, no margin,
+    /// no output) when the input is not ternary.
     #[inline(always)]
     fn matvec_packed(
         &mut self,
@@ -990,15 +1030,16 @@ impl Crossbar {
             } else {
                 // Non-ternary column (short/open defect): replicate the
                 // reference kernel's ascending-row walk exactly.
-                let mut acc = 0.0f64;
+                let mut acc = [0.0f64];
                 for p in 0..self.rows {
                     let l = row_src.map_or(p, |m| m[p]);
                     if !self.row_enabled[l] {
                         continue;
                     }
-                    acc += input[l] as f64 * self.wd[p * cols + pj];
+                    acc[0] += input[l] as f64 * self.wd[p * cols + pj];
                 }
-                self.readout.sense(acc, 0.0, &mut self.counter, rng)
+                self.readout.sense_block(&mut acc, &[0.0], &mut [0.0], &mut self.counter, rng);
+                acc[0]
             };
             out[col_src.map_or(pj, |m| m[pj])] = value;
         }
@@ -1342,7 +1383,7 @@ impl Crossbar {
                     // every feature `scalar_avx2` enables.
                     unsafe { wide::scalar_avx2(self, inputs, n, out, rng) }
                 }
-                _ => self.matmul_scalar_body::<0>(inputs, n, out, rng),
+                _ => self.matmul_scalar_body::<0, 1>(inputs, n, out, rng),
             },
         }
     }
@@ -1351,20 +1392,26 @@ impl Crossbar {
     /// drop, analog weights — bit-identically to
     /// [`Crossbar::matvec_reference`] (see [`Crossbar::matmul`]).
     ///
-    /// Columns `0..cols - cols % W` accumulate in register strips of
-    /// `W` columns, each walking the active rows once; the columns left
-    /// over (all of them at `W = 0`, the baseline level) take the
-    /// row-major loop. Either way every column sums its terms in
-    /// ascending physical row order, as the seed kernel does.
+    /// The batch runs in blocks of `max(P, READOUT_BLOCK / cols)`
+    /// evaluations: a block's column sums and Σ term² values fill the
+    /// scratch, then one [`ColumnReadout::sense_block`] call senses the
+    /// whole block in evaluation order. Columns `0..cols - cols % W`
+    /// accumulate in register strips of `W` columns; each pass of a
+    /// strip over the active rows carries `P` evaluations, so one load
+    /// of a weight strip serves all of them (an odd evaluation left
+    /// over takes a one-evaluation pass). The columns left over (all of
+    /// them at `W = 0`, the baseline level) take the row-major loop.
+    /// Either way every column of every evaluation sums its terms in
+    /// ascending physical row order from +0.0, as the seed kernel does.
     #[inline(always)]
-    fn matmul_scalar_body<const W: usize>(
+    fn matmul_scalar_body<const W: usize, const P: usize>(
         &mut self,
         inputs: &[f32],
         n: usize,
         out: &mut [f64],
         rng: &mut StdRng,
     ) {
-        let cols = self.cols;
+        let (rows, cols) = (self.rows, self.cols);
         // The gate pattern and remap are fixed across the batch:
         // resolve each enabled physical row to its logical input index
         // once (ascending physical order, as the seed kernel walks)
@@ -1377,36 +1424,40 @@ impl Crossbar {
         active.reserve(self.enabled_count);
         {
             let row_src = self.row_src.as_deref();
-            active.extend((0..self.rows).filter_map(|p| {
+            active.extend((0..rows).filter_map(|p| {
                 let l = row_src.map_or(p, |m| m[p]);
                 self.row_enabled[l].then_some((p, l))
             }));
         }
         self.readout.tally(&mut self.counter, n, self.enabled_count, cols);
+        let per = (READOUT_BLOCK / cols).max(P).min(n).max(1); // evaluations per block
+        let block = per * cols;
+        // The three buffers start a cache line past a 4 KB multiple of
+        // each other: with equal low address bits, the row loop's loads
+        // from one would falsely wait on its stores to another.
+        let stride = block + 8;
         self.scratch.clear();
-        self.scratch.resize(2 * cols, 0.0);
+        self.scratch.resize(3 * stride, 0.0);
+        let (acc, rest) = self.scratch.split_at_mut(stride);
+        let (power, noise) = rest.split_at_mut(stride);
         let col_src = self.col_src.as_deref();
         let strips = if W == 0 { 0 } else { cols - cols % W };
-        for (input, chunk) in
-            inputs.chunks_exact(self.rows).zip(out.chunks_exact_mut(cols))
-        {
-            let (acc, power) = self.scratch.split_at_mut(cols);
-            // Register strips: W sums and W Σ term² values live in
-            // registers while the strip walks every active row.
-            for s in (0..strips).step_by(W.max(1)) {
-                let mut a = [0.0f64; W];
-                let mut pw = [0.0f64; W];
-                for &(p, l) in &active {
-                    let x = input[l] as f64;
-                    let w = self.wd[p * cols + s..].first_chunk::<W>().expect("strip in row");
-                    for ((a, pw), &w) in a.iter_mut().zip(pw.iter_mut()).zip(w) {
-                        let term = x * w;
-                        *a += term;
-                        *pw += term * term;
+        for (inputs, out) in inputs.chunks(per * rows).zip(out.chunks_mut(block)) {
+            let (len, m) = (out.len(), out.len() / cols);
+            let (acc, power, noise) = (&mut acc[..len], &mut power[..len], &mut noise[..len]);
+            let mut e = 0;
+            while e < m {
+                let group = if e + P <= m { P } else { 1 };
+                let x = &inputs[e * rows..];
+                let (a, pw) = (&mut acc[e * cols..], &mut power[e * cols..]);
+                for s in (0..strips).step_by(W.max(1)) {
+                    if group == P {
+                        strip_pass::<W, P>(&self.wd, rows, cols, s, &active, x, a, pw);
+                    } else {
+                        strip_pass::<W, 1>(&self.wd, rows, cols, s, &active, x, a, pw);
                     }
                 }
-                acc[s..s + W].copy_from_slice(&a);
-                power[s..s + W].copy_from_slice(&pw);
+                e += group;
             }
             // Row-outer / column-inner accumulation over the columns
             // left over: each enabled physical row streams its
@@ -1415,33 +1466,44 @@ impl Crossbar {
             // in ascending-`p` order — the same order (hence the same
             // bits) as the column-outer seed kernel.
             if strips < cols {
-                let (acc, power) = (&mut acc[strips..], &mut power[strips..]);
-                acc.fill(0.0);
-                power.fill(0.0);
-                for &(p, l) in &active {
-                    let x = input[l] as f64;
-                    let wd_row = &self.wd[p * cols + strips..(p + 1) * cols];
-                    for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
-                        let term = x * w; // IR denominator pre-folded into `wd`
-                        *a += term;
-                        *pw += term * term; // Σ term² for the noise model
+                for ((x, acc), power) in inputs
+                    .chunks_exact(rows)
+                    .zip(acc.chunks_exact_mut(cols))
+                    .zip(power.chunks_exact_mut(cols))
+                {
+                    let (acc, power) = (&mut acc[strips..], &mut power[strips..]);
+                    acc.fill(0.0);
+                    power.fill(0.0);
+                    for &(p, l) in &active {
+                        let x = x[l] as f64;
+                        let wd_row = &self.wd[p * cols + strips..(p + 1) * cols];
+                        for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(wd_row) {
+                            let term = x * w; // IR denominator pre-folded into `wd`
+                            *a += term;
+                            *pw += term * term; // Σ term² for the noise model
+                        }
                     }
                 }
             }
-            // Sense columns in physical order — the seed kernel's
-            // per-column noise/margin/ADC sequence — scattering through
-            // any column remap straight into the logical output slot.
-            for (pj, (&a, &pw)) in acc.iter().zip(power.iter()).enumerate() {
-                chunk[col_src.map_or(pj, |m| m[pj])] =
-                    self.readout.sense(a, pw, &mut self.counter, rng);
+            // Sense the block — the seed kernel's per-column
+            // noise/margin/ADC sequence, evaluation by evaluation in
+            // physical column order — then scatter through any column
+            // remap into the logical output slots.
+            self.readout.sense_block(acc, power, noise, &mut self.counter, rng);
+            for (acc, out) in acc.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+                match col_src {
+                    None => out.copy_from_slice(acc),
+                    Some(map) => map.iter().zip(acc).for_each(|(&l, &v)| out[l] = v),
+                }
             }
         }
         self.row_scratch = active;
     }
 
     /// Bytes of reusable kernel scratch currently held by this array
-    /// (column accumulators plus the batch row-resolution buffer) — the
-    /// raw material of the `scratch_bytes` telemetry gauge.
+    /// (the read-out block's sums, Σ term² and noise, plus the batch
+    /// row-resolution buffer) — the raw material of the
+    /// `scratch_bytes` telemetry gauge.
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.capacity() * std::mem::size_of::<f64>()
             + self.row_scratch.capacity() * std::mem::size_of::<(usize, usize)>()
@@ -1595,6 +1657,42 @@ impl Crossbar {
     }
 }
 
+/// One pass of a register strip over the active rows: sums the `W`
+/// columns from `s` of `P` consecutive evaluations (inputs `x`, `rows`
+/// apart; sums and Σ term² written to `acc` and `power`, `cols`
+/// apart). The `P` evaluations share each load of a weight strip, and
+/// each column still adds its terms in ascending physical row order.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn strip_pass<const W: usize, const P: usize>(
+    wd: &[f64],
+    rows: usize,
+    cols: usize,
+    s: usize,
+    active: &[(usize, usize)],
+    x: &[f32],
+    acc: &mut [f64],
+    power: &mut [f64],
+) {
+    let mut a = [[0.0f64; W]; P];
+    let mut pw = [[0.0f64; W]; P];
+    for &(p, l) in active {
+        let w = wd[p * cols + s..].first_chunk::<W>().expect("strip in row");
+        for (k, (a, pw)) in a.iter_mut().zip(pw.iter_mut()).enumerate() {
+            let x = x[k * rows + l] as f64;
+            for ((a, pw), &w) in a.iter_mut().zip(pw.iter_mut()).zip(w) {
+                let term = x * w;
+                *a += term;
+                *pw += term * term;
+            }
+        }
+    }
+    for (k, (a, pw)) in a.iter().zip(&pw).enumerate() {
+        acc[k * cols + s..][..W].copy_from_slice(a);
+        power[k * cols + s..][..W].copy_from_slice(pw);
+    }
+}
+
 /// `Err` unless `map` is a permutation of `0..len`.
 fn check_permutation(map: &[usize], len: usize, name: &str) -> Result<(), String> {
     if map.len() != len {
@@ -1623,8 +1721,8 @@ pub struct MlcCrossbar {
     row_enabled: Vec<bool>,
     readout: ColumnReadout,
     counter: OpCounter,
-    /// Column accumulator scratch (`[acc | power]`), reused across
-    /// evaluations to keep the kernel allocation-free.
+    /// Read-out scratch (`[power | noise]`, one column each), reused
+    /// across evaluations to keep the kernel allocation-free.
     scratch: Vec<f64>,
 }
 
@@ -1754,28 +1852,27 @@ impl MlcCrossbar {
         assert_eq!(out.len(), self.cols, "output length mismatch");
         let active = self.row_enabled.iter().filter(|&&e| e).count();
         self.readout.tally(&mut self.counter, 1, active, self.cols);
-        // Row-outer / column-inner over contiguous `eff` rows; partial
-        // sums reach each column in ascending-row order, matching the
-        // column-outer formulation bit for bit.
+        // Row-outer / column-inner over contiguous `eff` rows, summing
+        // in `out`; partial sums reach each column in ascending-row
+        // order, matching the column-outer formulation bit for bit.
         let cols = self.cols;
         self.scratch.clear();
         self.scratch.resize(2 * cols, 0.0);
-        let (acc, power) = self.scratch.split_at_mut(cols);
+        let (power, noise) = self.scratch.split_at_mut(cols);
+        out.fill(0.0);
         for (i, (&xi, &enabled)) in input.iter().zip(&self.row_enabled).enumerate() {
             if !enabled {
                 continue;
             }
             let x = xi as f64;
             let eff_row = &self.eff[i * cols..(i + 1) * cols];
-            for ((a, pw), &w) in acc.iter_mut().zip(power.iter_mut()).zip(eff_row) {
+            for ((a, pw), &w) in out.iter_mut().zip(power.iter_mut()).zip(eff_row) {
                 let term = x * w;
                 *a += term;
                 *pw += term * term;
             }
         }
-        for ((o, &a), &pw) in out.iter_mut().zip(acc.iter()).zip(power.iter()) {
-            *o = self.readout.sense(a, pw, &mut self.counter, rng);
-        }
+        self.readout.sense_block(out, power, noise, &mut self.counter, rng);
     }
 
     /// Bytes of reusable kernel scratch currently held by this array
@@ -2890,56 +2987,74 @@ mod tests {
     const LEVEL_COLS: [usize; 12] = [1, 7, 8, 15, 16, 17, 31, 32, 33, 48, 64, 65];
     const LEVEL_ROWS: [usize; 5] = [1, 9, 64, 65, 130];
 
-    /// Runs `inputs` through `a` at `level` and through the seed-kernel
-    /// twin `b`, then asserts equal output bits, op tallies, sense
-    /// margins and RNG positions.
-    #[allow(clippy::too_many_arguments)]
-    fn assert_level_matches_oracle(
-        level: Isa,
-        mut a: Crossbar,
-        mut ra: StdRng,
-        mut b: Crossbar,
-        mut rb: StdRng,
+    /// Runs `inputs` through the seed kernel on a twin of `xbar`, then
+    /// through a twin at every level this CPU supports, asserting equal
+    /// output bits, op tallies, sense margins and RNG positions. Each
+    /// twin starts from `r`; the level twins come back, baseline first.
+    fn assert_levels_match_oracle(
+        xbar: &Crossbar,
+        r: &StdRng,
         inputs: &[f32],
         n: usize,
         label: &str,
-    ) -> Crossbar {
-        b.set_kernel_policy(KernelPolicy::Reference);
-        let cols = a.cols();
-        let mut ya = vec![f64::NAN; n * cols];
-        let mut yb = vec![f64::NAN; n * cols];
+    ) -> Vec<Crossbar> {
+        let (rows, cols) = (xbar.rows(), xbar.cols());
         // The whole batch, then its first element alone: the batch and
         // the n = 1 paths on warm scratch.
-        a.matmul_into_at(level, inputs, n, &mut ya, &mut ra);
-        b.matmul_into(inputs, n, &mut yb, &mut rb);
-        let rows = a.rows();
-        a.matmul_into_at(level, &inputs[..rows], 1, &mut ya[..cols], &mut ra);
-        b.matmul_into(&inputs[..rows], 1, &mut yb[..cols], &mut rb);
-        for (i, (va, vb)) in ya.iter().zip(&yb).enumerate() {
-            assert_eq!(va.to_bits(), vb.to_bits(), "{label} {level:?}: element {i}: {va} vs {vb}");
+        let run = |level: Option<Isa>| {
+            let (mut x, mut rng) = (xbar.clone(), r.clone());
+            let mut y = vec![f64::NAN; n * cols];
+            match level {
+                Some(level) => {
+                    x.matmul_into_at(level, inputs, n, &mut y, &mut rng);
+                    x.matmul_into_at(level, &inputs[..rows], 1, &mut y[..cols], &mut rng);
+                }
+                None => {
+                    x.set_kernel_policy(KernelPolicy::Reference);
+                    x.matmul_into(inputs, n, &mut y, &mut rng);
+                    x.matmul_into(&inputs[..rows], 1, &mut y[..cols], &mut rng);
+                }
+            }
+            (x, rng, y)
+        };
+        let (b, mut rb, yb) = run(None);
+        let next_b = stats::standard_normal(&mut rb).to_bits();
+        let (sb, cb) = b.sense_margin_parts();
+        let mut twins = Vec::new();
+        for level in host_levels() {
+            let (a, mut ra, ya) = run(Some(level));
+            for (i, (va, vb)) in ya.iter().zip(&yb).enumerate() {
+                assert_eq!(va.to_bits(), vb.to_bits(), "{label} {level:?}: element {i}: {va} vs {vb}");
+            }
+            assert_eq!(a.counter(), b.counter(), "{label} {level:?}: op tallies diverged");
+            let (sa, ca) = a.sense_margin_parts();
+            assert_eq!(sa.to_bits(), sb.to_bits(), "{label} {level:?}: margin sum {sa} vs {sb}");
+            assert_eq!(ca, cb, "{label} {level:?}: margin count");
+            assert_eq!(
+                stats::standard_normal(&mut ra).to_bits(),
+                next_b,
+                "{label} {level:?}: RNG position diverged"
+            );
+            twins.push(a);
         }
-        assert_eq!(a.counter(), b.counter(), "{label} {level:?}: op tallies diverged");
-        let ((sa, ca), (sb, cb)) = (a.sense_margin_parts(), b.sense_margin_parts());
-        assert_eq!(sa.to_bits(), sb.to_bits(), "{label} {level:?}: margin sum {sa} vs {sb}");
-        assert_eq!(ca, cb, "{label} {level:?}: margin count");
-        assert_eq!(
-            stats::standard_normal(&mut ra).to_bits(),
-            stats::standard_normal(&mut rb).to_bits(),
-            "{label} {level:?}: RNG position diverged"
-        );
-        a
+        twins
     }
 
     #[test]
     fn row_major_kernel_matches_oracle_at_every_level() {
-        // Three corners per shape: the full analog mix (defects, read
+        // Five corners per shape: the full analog mix (defects, read
         // noise, IR drop, 6-bit ADC, remaps, gated rows); a 2-bit ADC
-        // driven past its rails; every word line gated off.
-        let levels = host_levels();
+        // driven past its rails; every word line gated off; every third
+        // evaluation all zero (zero-power columns draw no noise); ±inf
+        // and NaN on live lines. Batch sizes straddle the read-out
+        // block: 1, 2, per − 1, per, per + 1 and 2·per + 1 evaluations,
+        // where per = READOUT_BLOCK / cols (at least 7 at these widths).
         let mut saturations = 0u64;
         for rows in LEVEL_ROWS {
             for cols in LEVEL_COLS {
-                for corner in 0..3u64 {
+                let per = READOUT_BLOCK / cols;
+                let sizes = [1, 2, per - 1, per, per + 1, 2 * per + 1];
+                for corner in 0..5u64 {
                     let seed = 0x15A0_0000 + ((rows as u64) << 16) + ((cols as u64) << 4) + corner;
                     let label = format!("seed {seed:#x} rows {rows} cols {cols} corner {corner}");
                     let config = CrossbarConfig {
@@ -2970,22 +3085,29 @@ mod tests {
                     // Corner 1 drives ±3 inputs, so columns overshoot the
                     // ±rows full scale.
                     let scale = if corner == 1 { 3.0 } else { 1.0 };
-                    let n = 3;
-                    let inputs: Vec<f32> =
-                        (0..n * rows).map(|_| (r.random::<f32>() * 2.0 - 1.0) * scale).collect();
-                    for &level in &levels {
-                        let a = assert_level_matches_oracle(
-                            level,
-                            xbar.clone(),
-                            r.clone(),
-                            xbar.clone(),
-                            r.clone(),
-                            &inputs,
-                            n,
-                            &label,
-                        );
+                    let n_max = 2 * per + 1;
+                    let mut inputs: Vec<f32> =
+                        (0..n_max * rows).map(|_| (r.random::<f32>() * 2.0 - 1.0) * scale).collect();
+                    for (e, x) in inputs.chunks_exact_mut(rows).enumerate() {
+                        match corner {
+                            3 if e % 3 == 1 => x.fill(0.0),
+                            4 => x[e % rows] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][e % 3],
+                            _ => {}
+                        }
+                    }
+                    let mut block_bytes = Vec::new();
+                    for &n in &sizes {
+                        let label = format!("{label} n {n}");
+                        let twins = assert_levels_match_oracle(&xbar, &r, &inputs[..n * rows], n, &label);
                         if corner == 1 {
-                            saturations += a.counter().adc_saturations;
+                            saturations += twins.iter().map(|a| a.counter().adc_saturations).sum::<u64>();
+                        }
+                        // Scratch stops growing at one block.
+                        let bytes: Vec<usize> = twins.iter().map(Crossbar::scratch_bytes).collect();
+                        if n == per {
+                            block_bytes = bytes;
+                        } else if n == 2 * per + 1 {
+                            assert_eq!(bytes, block_bytes, "{label}: scratch bytes per level");
                         }
                     }
                 }
@@ -3001,7 +3123,6 @@ mod tests {
         // input with +0.0 and -0.0 (packed), one with 0.5 and one with
         // NaN on a live line (row-major fallback), and one whose 0.5 and
         // NaN sit only on gated lines (packed).
-        let levels = host_levels();
         for rows in LEVEL_ROWS {
             for cols in LEVEL_COLS {
                 for corner in 0..3u64 {
@@ -3050,18 +3171,8 @@ mod tests {
                     }
                     let live_odd = corner != 2 && rows > 1;
                     let packed = if live_odd { 2 } else { 4 } + 1; // + the n = 1 repeat
-                    for &level in &levels {
-                        let a = assert_level_matches_oracle(
-                            level,
-                            xbar.clone(),
-                            r.clone(),
-                            xbar.clone(),
-                            r.clone(),
-                            &inputs,
-                            4,
-                            &label,
-                        );
-                        assert_eq!(a.packed_calls(), packed, "{label} {level:?}: packed calls");
+                    for a in assert_levels_match_oracle(&xbar, &r, &inputs, 4, &label) {
+                        assert_eq!(a.packed_calls(), packed, "{label}: packed calls");
                     }
                 }
             }
